@@ -1,7 +1,8 @@
 //! Experiments E-FIG1 and E-S2-MIG: Figure 1 component replacement and
 //! the full Section 2 migration pipeline.
 
-use migrate::{presets, Migrator, RerouteStrategy, StageId};
+use migrate::{presets, MigrationConfig, Migrator, RerouteStrategy, StageId};
+use schematic::design::Design;
 use schematic::dialect::DialectId;
 use schematic::gen::{generate, GenConfig};
 
@@ -183,6 +184,37 @@ pub fn migration_ablation(gates: usize) -> Vec<(String, bool)> {
         out.push((format!("skip-{}", stage.name()), verdict.is_verified()));
     }
     out
+}
+
+/// A verification workload in the load benchmark's migration size mix:
+/// `n` seeded Viewstar designs (every fifth 32 gates × 8 pages at depth
+/// 2, the rest 16 × 4 at depth 1), each paired with its Cascade
+/// migration under the preset configuration, which is returned too.
+pub fn verify_mix(n: usize) -> (MigrationConfig, Vec<(Design, Design)>) {
+    let config = presets::exar_style_config(4, 0);
+    let migrator = Migrator::new(config.clone());
+    let pairs = (0..n)
+        .map(|slot| {
+            let (gates, pages, depth) = if slot % 5 == 4 {
+                (32, 8, 2)
+            } else {
+                (16, 4, 1)
+            };
+            let source = generate(
+                &GenConfig::builder()
+                    .seed(1000 + slot as u64)
+                    .gates_per_page(gates)
+                    .pages(pages)
+                    .depth(depth)
+                    .bus_width(4)
+                    .build()
+                    .expect("valid generator config"),
+            );
+            let target = migrator.migrate(&source, DialectId::Cascade).design;
+            (source, target)
+        })
+        .collect();
+    (config, pairs)
 }
 
 /// Renders the migration tables.

@@ -9,8 +9,7 @@
 //! rules), the source netlist is normalized through the configured
 //! symbol/pin maps, and the two are compared structurally.
 
-use std::collections::BTreeMap;
-
+use interop_core::intern::IStr;
 use schematic::connectivity::extract_design;
 use schematic::design::Design;
 use schematic::dialect::{check_conformance, DialectRules, Violation};
@@ -54,45 +53,86 @@ impl VerifyReport {
     }
 }
 
+/// One symbol-map entry prepared for normalization, with its target pin
+/// names interned once rather than once per pin.
+struct PinMap<'a> {
+    from: &'a str,
+    to: &'a IStr,
+    pins: Vec<(&'a str, IStr)>,
+}
+
+impl PinMap<'_> {
+    /// The target pin for a source pin, as
+    /// [`SymbolMapEntry::map_pin`](crate::config::SymbolMapEntry::map_pin)
+    /// gives it.
+    fn map_pin(&self, pin: &IStr) -> IStr {
+        match self.pins.iter().find(|(from, _)| *from == pin.as_str()) {
+            Some((_, to)) => to.clone(),
+            None => pin.clone(),
+        }
+    }
+}
+
 /// Rewrites a source netlist through the symbol map: instance cell
 /// references and pin names become their target equivalents so the
 /// comparison measures *connectivity* changes, not intended renames.
 pub fn normalize_source(netlist: &Netlist, config: &MigrationConfig) -> Netlist {
-    let by_cell: BTreeMap<&str, &crate::config::SymbolMapEntry> = config
+    let maps: Vec<PinMap> = config
         .symbol_map
         .iter()
-        .map(|e| (e.from.cell.as_str(), e))
+        .map(|e| PinMap {
+            from: &e.from.cell,
+            to: &e.to.cell,
+            pins: e
+                .pin_map
+                .iter()
+                .map(|(f, t)| (f.as_str(), IStr::from(t)))
+                .collect(),
+        })
         .collect();
+    // Later entries for the same source cell win.
+    let map_of = |cell: &str| maps.iter().rev().find(|m| m.from == cell);
 
     let mut out = Netlist::new(netlist.design.clone());
     for (cell_name, cn) in &netlist.cells {
-        let mut new_cn = CellNetlist::default();
         // Instance cell retargeting.
-        for (inst, cellref) in &cn.instances {
-            let new_ref = by_cell
-                .get(cellref.as_str())
-                .map(|e| e.to.cell.clone())
-                .unwrap_or_else(|| cellref.clone());
-            new_cn.instances.insert(inst.clone(), new_ref);
-        }
+        let instances = cn
+            .instances
+            .iter()
+            .map(|(inst, cellref)| {
+                let new_ref = map_of(cellref).map_or_else(|| cellref.clone(), |m| m.to.clone());
+                (inst.clone(), new_ref)
+            })
+            .collect();
         // Pin renaming per instance.
-        for (net, info) in &cn.nets {
-            let mut new_info = NetInfo {
-                is_global: info.is_global,
-                ports: info.ports.clone(),
-                ..NetInfo::default()
-            };
-            for pin in &info.pins {
-                let source_cell = cn.instances.get(&pin.inst);
-                let new_pin = source_cell
-                    .and_then(|c| by_cell.get(c.as_str()))
-                    .map(|e| e.map_pin(&pin.pin).to_string())
-                    .unwrap_or_else(|| pin.pin.to_string());
-                new_info.pins.insert(PinRef::new(pin.inst.clone(), new_pin));
-            }
-            new_cn.nets.insert(net.clone(), new_info);
-        }
-        out.cells.insert(cell_name.clone(), new_cn);
+        let nets = cn
+            .nets
+            .iter()
+            .map(|(net, info)| {
+                let pins = info
+                    .pins
+                    .iter()
+                    .map(|pin| {
+                        let new_pin = match cn.instances.get(&pin.inst).and_then(|c| map_of(c)) {
+                            Some(m) => m.map_pin(&pin.pin),
+                            None => pin.pin.clone(),
+                        };
+                        PinRef {
+                            inst: pin.inst.clone(),
+                            pin: new_pin,
+                        }
+                    })
+                    .collect();
+                let new_info = NetInfo {
+                    pins,
+                    is_global: info.is_global,
+                    ports: info.ports.clone(),
+                };
+                (net.clone(), new_info)
+            })
+            .collect();
+        out.cells
+            .insert(cell_name.clone(), CellNetlist { nets, instances });
     }
     out
 }

@@ -8,14 +8,18 @@
 
 use std::collections::{BTreeMap, BTreeSet};
 use std::fmt;
+use std::ops::Range;
 
 use interop_core::intern::IStr;
 
 use crate::bus::{BusSyntax, NetExpr};
 use crate::design::{CellSchematic, Design};
 use crate::dialect::DialectRules;
+use crate::geom::Point;
 use crate::netlist::{CellNetlist, NetInfo, Netlist, PinRef};
-use crate::sheet::ConnectorKind;
+use crate::property::Label;
+use crate::sheet::{point_on_segment, Connector, ConnectorKind};
+use crate::symbol::{SymbolDef, SymbolRef};
 
 /// An extraction problem that prevents a clean netlist.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -105,16 +109,10 @@ impl Extraction {
     }
 }
 
-/// Formats an expanded bit or scalar name: `base<idx>` with any postfix
-/// appended.
-fn expanded(base: &str, idx: Option<i64>, postfix: Option<char>) -> String {
-    let mut s = match idx {
-        Some(i) => format!("{base}<{i}>"),
-        None => base.to_string(),
-    };
-    if let Some(c) = postfix {
-        s.push(c);
-    }
+/// Formats an expanded bus bit: `base<idx>` with any postfix appended.
+fn bit_name(base: &str, idx: i64, postfix: Option<char>) -> String {
+    let mut s = format!("{base}<{idx}>");
+    s.extend(postfix);
     s
 }
 
@@ -125,12 +123,10 @@ struct UnionFind {
 }
 
 impl UnionFind {
-    fn new() -> Self {
-        UnionFind { parent: Vec::new() }
-    }
-    fn make(&mut self) -> usize {
-        self.parent.push(self.parent.len());
-        self.parent.len() - 1
+    fn with_len(n: usize) -> Self {
+        UnionFind {
+            parent: (0..n).collect(),
+        }
     }
     fn find(&mut self, mut x: usize) -> usize {
         while self.parent[x] != x {
@@ -145,74 +141,238 @@ impl UnionFind {
             self.parent[ra] = rb;
         }
     }
+    /// The root of every element, and a dense slot per root numbered in
+    /// ascending root order: `(roots, slots, root count)`, where
+    /// `slots[r]` is meaningful for roots only.
+    fn roots_and_slots(&mut self) -> (Vec<usize>, Vec<usize>, usize) {
+        let n = self.parent.len();
+        let roots: Vec<usize> = (0..n).map(|i| self.find(i)).collect();
+        let mut slots = vec![usize::MAX; n];
+        let mut count = 0;
+        for (i, &r) in roots.iter().enumerate() {
+            if r == i {
+                slots[i] = count;
+                count += 1;
+            }
+        }
+        (roots, slots, count)
+    }
 }
 
-/// What a geometric cluster has attached to it.
-#[derive(Debug, Clone, Default)]
-struct Cluster {
-    page: u32,
-    min_point: (i64, i64),
-    /// Scalar / single-bit names (already expanded, postfix folded in).
-    names: BTreeSet<String>,
-    /// Bus ranges labelled onto the cluster: (base, from, to, postfix).
-    ranges: Vec<(String, i64, i64, Option<char>)>,
-    pins: Vec<(PinRef, IStr)>, // pin ref + raw pin name
-    offpage_names: BTreeSet<String>,
-    port_names: BTreeSet<String>,
+/// A drawn point: page and coordinates.
+type Key = (u32, i64, i64);
+
+/// Groups equal values by sorting, not hashing (the values come from
+/// parsed input, so a hash table keyed by them could be flooded): returns
+/// for each item the index of its value among the distinct values, and
+/// the distinct values in ascending order.
+fn distinct<K: Ord + Copy>(items: &[K]) -> (Vec<usize>, Vec<K>) {
+    let mut sorted: Vec<(K, usize)> = items.iter().copied().zip(0..).collect();
+    sorted.sort_unstable();
+    let mut class = vec![0; items.len()];
+    let mut values = Vec::new();
+    for run in sorted.chunk_by(|a, b| a.0 == b.0) {
+        for &(_, i) in run {
+            class[i] = values.len();
+        }
+        values.push(run[0].0);
+    }
+    (class, values)
+}
+
+/// Per-page coordinate index over the registered nodes: one copy sorted
+/// by `(page, x, y)`, one by `(page, y, x)`. Answers "which nodes lie on
+/// this segment" with range queries instead of a scan of every node.
+struct PointIndex {
+    by_xy: Vec<(Key, usize)>,
+    by_yx: Vec<(Key, usize)>,
+}
+
+impl PointIndex {
+    /// Builds the index from the nodes sorted by `(page, x, y)`.
+    fn new(by_xy: Vec<(Key, usize)>) -> Self {
+        let mut by_yx: Vec<(Key, usize)> =
+            by_xy.iter().map(|&((p, x, y), n)| ((p, y, x), n)).collect();
+        by_yx.sort_unstable();
+        PointIndex { by_xy, by_yx }
+    }
+
+    fn range(sorted: &[(Key, usize)], lo: Key, hi: Key) -> &[(Key, usize)] {
+        let start = sorted.partition_point(|e| e.0 < lo);
+        let end = start + sorted[start..].partition_point(|e| e.0 <= hi);
+        &sorted[start..end]
+    }
+
+    /// Calls `hit` with every node on the closed segment `a`–`b` of
+    /// `page`: the same set `point_on_segment` accepts.
+    fn on_segment(&self, page: u32, a: Point, b: Point, mut hit: impl FnMut(usize)) {
+        let (x0, x1) = (a.x.min(b.x), a.x.max(b.x));
+        let (y0, y1) = (a.y.min(b.y), a.y.max(b.y));
+        if a.x == b.x {
+            for &(_, n) in Self::range(&self.by_xy, (page, a.x, y0), (page, a.x, y1)) {
+                hit(n);
+            }
+        } else if a.y == b.y {
+            for &(_, n) in Self::range(&self.by_yx, (page, a.y, x0), (page, a.y, x1)) {
+                hit(n);
+            }
+        } else {
+            let column = Self::range(&self.by_xy, (page, x0, i64::MIN), (page, x1, i64::MAX));
+            for &((_, x, y), n) in column {
+                if point_on_segment(Point::new(x, y), a, b) {
+                    hit(n);
+                }
+            }
+        }
+    }
+}
+
+/// A wire label or connector name, parsed once per cell under the
+/// cell's bus scope.
+enum LabelNet {
+    /// A scalar or single bit, expanded with any postfix.
+    Name(String),
+    /// A bundle `base<from:to>` with its bits' expanded names in
+    /// declaration order (`from` first).
+    Range {
+        base: String,
+        from: i64,
+        to: i64,
+        bits: Vec<String>,
+    },
+}
+
+impl LabelNet {
+    fn parse(rules: &DialectRules, text: &str, buses: &BTreeSet<IStr>) -> Result<Self, String> {
+        let name = rules.bus.parse(text, buses).map_err(|e| e.to_string())?;
+        Ok(match name.expr {
+            NetExpr::Scalar(mut b) => {
+                b.extend(name.postfix);
+                LabelNet::Name(b)
+            }
+            NetExpr::Bit(b, i) => LabelNet::Name(bit_name(&b, i, name.postfix)),
+            NetExpr::Range(b, from, to) => {
+                let bits = NetExpr::Range(b.clone(), from, to)
+                    .bits()
+                    .into_iter()
+                    .map(|bit| match bit {
+                        NetExpr::Bit(bb, i) => bit_name(&bb, i, name.postfix),
+                        _ => unreachable!("a range expands to bits"),
+                    })
+                    .collect();
+                LabelNet::Range {
+                    base: b,
+                    from,
+                    to,
+                    bits,
+                }
+            }
+        })
+    }
+}
+
+/// Attachments of all clusters in one flat list, each entry tagged with
+/// its cluster. Sorted stably by cluster, a cluster's entries form one
+/// run in the order they were attached, so no cluster needs a list of
+/// its own.
+type Attached<T> = Vec<(usize, T)>;
+
+/// Splits the run of cluster `c` off the front of a cluster-sorted list.
+fn take_run<'s, T>(list: &mut &'s [(usize, T)], c: usize) -> &'s [(usize, T)] {
+    let n = list.iter().take_while(|e| e.0 == c).count();
+    let (run, rest) = list.split_at(n);
+    *list = rest;
+    run
 }
 
 /// A net "atom": the per-bit (or per-scalar) unit produced from one
-/// cluster, before name-based merging.
-#[derive(Debug, Clone, Default)]
+/// cluster, before name-based merging. Names and ports are ranges of the
+/// extraction's flat name and port lists.
 struct Atom {
     page: u32,
     order_key: (u32, i64, i64),
-    names: BTreeSet<String>,
+    names: Range<usize>,
+    ports: Range<usize>,
+    pins: BTreeSet<PinRef>,
+    has_offpage: bool,
+}
+
+/// One extracted net before it takes the shape of an [`ExtractedNet`]
+/// or a [`NetInfo`].
+struct RawNet<'a> {
+    name: String,
+    /// Sorted, distinct.
+    aliases: &'a [&'a str],
+    /// Sorted, distinct.
+    pages: &'a [u32],
     pins: BTreeSet<PinRef>,
     ports: BTreeSet<String>,
+    is_global: bool,
     has_offpage: bool,
 }
 
 /// Extracts the connectivity of one cell under a dialect rule table.
 pub fn extract_cell(design: &Design, cell: &CellSchematic, rules: &DialectRules) -> Extraction {
+    let mut nets: Vec<ExtractedNet> = Vec::new();
+    let errors = extract_nets(design, cell, rules, &mut |net| {
+        nets.push(ExtractedNet {
+            name: net.name,
+            aliases: net.aliases.iter().map(|s| s.to_string()).collect(),
+            pins: net.pins,
+            pages: net.pages.iter().copied().collect(),
+            ports: net.ports,
+            is_global: net.is_global,
+            has_offpage: net.has_offpage,
+        })
+    });
+    nets.sort_by(|a, b| a.name.cmp(&b.name));
+    Extraction {
+        cell: cell.cell.clone(),
+        nets,
+        errors,
+    }
+}
+
+/// The extraction behind [`extract_cell`] and [`extract_design`]: emits
+/// every net in group order (before the sort by name) and returns the
+/// errors.
+fn extract_nets(
+    design: &Design,
+    cell: &CellSchematic,
+    rules: &DialectRules,
+    emit: &mut dyn FnMut(RawNet<'_>),
+) -> Vec<ConnError> {
     let mut errors = Vec::new();
-    let mut uf = UnionFind::new();
-    let mut nodes: BTreeMap<(u32, i64, i64), usize> = BTreeMap::new();
-    let node_of =
-        |uf: &mut UnionFind,
-         nodes: &mut BTreeMap<(u32, i64, i64), usize>,
-         page: u32,
-         x: i64,
-         y: i64| { *nodes.entry((page, x, y)).or_insert_with(|| uf.make()) };
+    let wires = || {
+        cell.sheets
+            .iter()
+            .flat_map(|sheet| sheet.wires.iter().map(move |w| (sheet.page, w)))
+    };
 
-    // Pass 1: register geometry and union wire paths.
-    struct PinSite {
-        page: u32,
-        node: usize,
-        pin: PinRef,
-        raw_name: IStr,
-    }
-    let mut pin_sites: Vec<PinSite> = Vec::new();
-    struct ConnSite {
-        node: usize,
-        kind: ConnectorKind,
-        name: IStr,
-    }
-    let mut conn_sites: Vec<ConnSite> = Vec::new();
-
+    // Pass 1: register geometry. Every drawn point is an occurrence, in
+    // drawing order: each sheet's wire vertices, then its instances'
+    // pins, then its connectors.
+    let mut occurrences: Vec<Key> = Vec::new();
+    let mut wire_starts: Vec<usize> = Vec::new();
+    let mut pin_sites: Vec<(usize, PinRef)> = Vec::new();
+    let mut conn_sites: Vec<(usize, &Connector)> = Vec::new();
+    let mut symbols: Vec<(&SymbolRef, Option<&SymbolDef>)> = Vec::new();
     for sheet in &cell.sheets {
         for wire in &sheet.wires {
-            let mut prev: Option<usize> = None;
-            for p in &wire.points {
-                let n = node_of(&mut uf, &mut nodes, sheet.page, p.x, p.y);
-                if let Some(pn) = prev {
-                    uf.union(pn, n);
-                }
-                prev = Some(n);
-            }
+            assert!(!wire.points.is_empty(), "a wire has vertices");
+            wire_starts.push(occurrences.len());
+            occurrences.extend(wire.points.iter().map(|p| (sheet.page, p.x, p.y)));
         }
         for inst in &sheet.instances {
-            let Some(sym) = design.resolve_symbol(&inst.symbol) else {
+            let sym = match symbols.iter().find(|(r, _)| **r == inst.symbol) {
+                Some(&(_, sym)) => sym,
+                None => {
+                    let sym = design.resolve_symbol(&inst.symbol);
+                    symbols.push((&inst.symbol, sym));
+                    sym
+                }
+            };
+            let Some(sym) = sym else {
                 errors.push(ConnError::UnresolvedSymbol {
                     page: sheet.page,
                     inst: inst.name.as_str().to_string(),
@@ -221,360 +381,382 @@ pub fn extract_cell(design: &Design, cell: &CellSchematic, rules: &DialectRules)
             };
             for pin in &sym.pins {
                 let at = inst.place.apply(pin.at);
-                let n = node_of(&mut uf, &mut nodes, sheet.page, at.x, at.y);
-                pin_sites.push(PinSite {
-                    page: sheet.page,
-                    node: n,
-                    pin: PinRef::new(inst.name.clone(), pin.name.clone()),
-                    raw_name: pin.name.clone(),
-                });
+                pin_sites.push((
+                    occurrences.len(),
+                    PinRef::new(inst.name.clone(), pin.name.clone()),
+                ));
+                occurrences.push((sheet.page, at.x, at.y));
             }
         }
         for conn in &sheet.connectors {
-            let n = node_of(&mut uf, &mut nodes, sheet.page, conn.at.x, conn.at.y);
-            conn_sites.push(ConnSite {
-                node: n,
-                kind: conn.kind,
-                name: conn.name.clone(),
-            });
+            conn_sites.push((occurrences.len(), conn));
+            occurrences.push((sheet.page, conn.at.x, conn.at.y));
+        }
+    }
+
+    // Equal points are one node. Nodes are numbered in first-seen order
+    // and the wire paths unioned in drawing order, so the union-find
+    // roots, and with them the order of clusters, nets and errors, follow
+    // the drawing alone.
+    let (point_of, points) = distinct(&occurrences);
+    let mut node_of_point = vec![usize::MAX; points.len()];
+    let mut keys: Vec<Key> = Vec::with_capacity(points.len());
+    for &p in &point_of {
+        if node_of_point[p] == usize::MAX {
+            node_of_point[p] = keys.len();
+            keys.push(points[p]);
+        }
+    }
+    let node_of = |occurrence: usize| node_of_point[point_of[occurrence]];
+    let mut uf = UnionFind::with_len(keys.len());
+    for ((_, wire), &start) in wires().zip(&wire_starts) {
+        for k in start + 1..start + wire.points.len() {
+            uf.union(node_of(k - 1), node_of(k));
         }
     }
 
     // Pass 2: union every registered node that touches a wire on the same
-    // page (captures T junctions and pins landing mid-segment).
+    // page (captures T junctions and pins landing mid-segment). Each
+    // wire's hits all join its head's root, so the roots do not depend
+    // on the order the index reports them in.
     {
-        let keys: Vec<(u32, i64, i64)> = nodes.keys().copied().collect();
-        for sheet in &cell.sheets {
-            for wire in &sheet.wires {
-                let head = wire.points[0];
-                let head_node = nodes[&(sheet.page, head.x, head.y)];
-                for &(pg, x, y) in &keys {
-                    if pg != sheet.page {
-                        continue;
-                    }
-                    let p = crate::geom::Point::new(x, y);
-                    if wire.touches(p) {
-                        let n = nodes[&(pg, x, y)];
-                        uf.union(n, head_node);
-                    }
-                }
+        let by_xy = points
+            .iter()
+            .zip(&node_of_point)
+            .map(|(&key, &n)| (key, n))
+            .collect();
+        let index = PointIndex::new(by_xy);
+        for ((page, wire), &start) in wires().zip(&wire_starts) {
+            let head = node_of(start);
+            for (a, b) in wire.segments() {
+                index.on_segment(page, a, b, |n| uf.union(n, head));
             }
         }
     }
 
-    // Pass 3: gather cluster attributes.
-    let mut clusters: BTreeMap<usize, Cluster> = BTreeMap::new();
-    let cluster_of = |uf: &mut UnionFind,
-                      clusters: &mut BTreeMap<usize, Cluster>,
-                      node: usize,
-                      page: u32,
-                      at: (i64, i64)|
-     -> usize {
-        let root = uf.find(node);
-        let c = clusters.entry(root).or_insert_with(|| Cluster {
-            page,
-            min_point: at,
-            ..Cluster::default()
-        });
-        if at < c.min_point {
-            c.min_point = at;
+    // Pass 3: gather cluster attributes. Clusters are numbered in
+    // ascending root order; each has a page and its smallest point.
+    let (roots, slots, count) = uf.roots_and_slots();
+    let mut clusters: Vec<(u32, (i64, i64))> = Vec::with_capacity(count);
+    for (i, &(page, x, y)) in keys.iter().enumerate() {
+        if roots[i] == i {
+            clusters.push((page, (x, y)));
         }
-        root
-    };
-
-    for ((page, x, y), &node) in &nodes {
-        cluster_of(&mut uf, &mut clusters, node, *page, (*x, *y));
     }
+    for (i, &(_, x, y)) in keys.iter().enumerate() {
+        let min = &mut clusters[slots[roots[i]]].1;
+        *min = (*min).min((x, y));
+    }
+    let cluster_at = |occurrence: usize| slots[roots[node_of(occurrence)]];
+
+    // Every distinct label text, of wire labels and connector names alike,
+    // is parsed once; the attachments then borrow names from the table.
+    let wire_labels: Vec<(usize, &Label)> = wires()
+        .zip(&wire_starts)
+        .filter_map(|((_, wire), &start)| Some((start, wire.label.as_ref()?)))
+        .collect();
+    let texts: Vec<&str> = wire_labels
+        .iter()
+        .map(|(_, label)| label.text.as_str())
+        .chain(conn_sites.iter().map(|(_, conn)| conn.name.as_str()))
+        .collect();
+    let (slot_of, distinct_texts) = distinct(&texts);
+    let table: Vec<Result<LabelNet, String>> = distinct_texts
+        .iter()
+        .map(|text| LabelNet::parse(rules, text, &cell.buses))
+        .collect();
+    let (wire_slots, conn_slots) = slot_of.split_at(wire_labels.len());
+
+    // Scalar / single-bit names (already expanded, postfix folded in),
+    // bus ranges (as label-table slots), off-page and port names, pins.
+    let mut names: Attached<&str> = Vec::new();
+    let mut ranges: Attached<usize> = Vec::new();
+    let mut offpage: Attached<&str> = Vec::new();
+    let mut ports: Attached<&str> = Vec::new();
 
     // Wire labels.
-    for sheet in &cell.sheets {
-        for wire in &sheet.wires {
-            let Some(label) = &wire.label else { continue };
-            let head = wire.points[0];
-            let node = nodes[&(sheet.page, head.x, head.y)];
-            let root = cluster_of(&mut uf, &mut clusters, node, sheet.page, (head.x, head.y));
-            match rules.bus.parse(&label.text, &cell.buses) {
-                Ok(name) => {
-                    let cl = clusters.get_mut(&root).expect("cluster exists");
-                    match name.expr {
-                        NetExpr::Scalar(b) => {
-                            cl.names.insert(expanded(&b, None, name.postfix));
-                        }
-                        NetExpr::Bit(b, i) => {
-                            cl.names.insert(expanded(&b, Some(i), name.postfix));
-                        }
-                        NetExpr::Range(b, f, t) => cl.ranges.push((b, f, t, name.postfix)),
-                    }
-                }
-                Err(e) => errors.push(ConnError::UnparsedLabel {
-                    page: sheet.page,
-                    text: label.text.as_str().to_string(),
-                    reason: e.to_string(),
-                }),
-            }
+    for (&(start, label), &slot) in wire_labels.iter().zip(wire_slots) {
+        let c = cluster_at(start);
+        match &table[slot] {
+            Ok(LabelNet::Name(n)) => names.push((c, n)),
+            Ok(LabelNet::Range { .. }) => ranges.push((c, slot)),
+            Err(reason) => errors.push(ConnError::UnparsedLabel {
+                page: clusters[c].0,
+                text: label.text.as_str().to_string(),
+                reason: reason.clone(),
+            }),
         }
     }
 
     // Connectors.
-    for site in &conn_sites {
-        let root = uf.find(site.node);
-        let cl = clusters.get_mut(&root).expect("cluster exists");
-        let parsed = rules.bus.parse(&site.name, &cell.buses);
-        let parsed = match parsed {
-            Ok(p) => p,
-            Err(e) => {
+    for (&(at, conn), &slot) in conn_sites.iter().zip(conn_slots) {
+        let c = cluster_at(at);
+        let attach: &[String] = match &table[slot] {
+            Err(reason) => {
                 errors.push(ConnError::UnparsedLabel {
-                    page: cl.page,
-                    text: site.name.as_str().to_string(),
-                    reason: e.to_string(),
+                    page: clusters[c].0,
+                    text: conn.name.as_str().to_string(),
+                    reason: reason.clone(),
                 });
                 continue;
             }
+            Ok(LabelNet::Name(n)) => {
+                names.push((c, n));
+                std::slice::from_ref(n)
+            }
+            Ok(LabelNet::Range { bits, .. }) => {
+                ranges.push((c, slot));
+                bits
+            }
         };
-        match parsed.expr {
-            NetExpr::Scalar(b) => {
-                let n = expanded(&b, None, parsed.postfix);
-                match site.kind {
-                    ConnectorKind::OffPage => {
-                        cl.offpage_names.insert(n.clone());
-                    }
-                    k if k.is_hierarchy() => {
-                        cl.port_names.insert(n.clone());
-                    }
-                    _ => {}
-                }
-                cl.names.insert(n);
-            }
-            NetExpr::Bit(b, i) => {
-                let n = expanded(&b, Some(i), parsed.postfix);
-                match site.kind {
-                    ConnectorKind::OffPage => {
-                        cl.offpage_names.insert(n.clone());
-                    }
-                    k if k.is_hierarchy() => {
-                        cl.port_names.insert(n.clone());
-                    }
-                    _ => {}
-                }
-                cl.names.insert(n);
-            }
-            NetExpr::Range(b, f, t) => {
-                for bit in NetExpr::Range(b.clone(), f, t).bits() {
-                    if let NetExpr::Bit(bb, i) = bit {
-                        let n = expanded(&bb, Some(i), parsed.postfix);
-                        match site.kind {
-                            ConnectorKind::OffPage => {
-                                cl.offpage_names.insert(n.clone());
-                            }
-                            k if k.is_hierarchy() => {
-                                cl.port_names.insert(n.clone());
-                            }
-                            _ => {}
-                        }
-                    }
-                }
-                cl.ranges.push((b, f, t, parsed.postfix));
-            }
-        }
+        let list = match conn.kind {
+            ConnectorKind::OffPage => &mut offpage,
+            k if k.is_hierarchy() => &mut ports,
+            _ => continue,
+        };
+        list.extend(attach.iter().map(|n| (c, n.as_str())));
     }
 
     // Pins.
-    for site in &pin_sites {
-        let root = uf.find(site.node);
-        let cl = clusters.get_mut(&root).expect("cluster exists");
-        cl.pins.push((site.pin.clone(), site.raw_name.clone()));
-        let _ = site.page;
+    let mut pins: Attached<PinRef> = pin_sites
+        .into_iter()
+        .map(|(at, pin)| (cluster_at(at), pin))
+        .collect();
+    for list in [&mut names, &mut offpage, &mut ports] {
+        list.sort_by_key(|e| e.0);
     }
+    ranges.sort_by_key(|e| e.0);
+    pins.sort_by_key(|e| e.0);
 
     // Pass 4: clusters -> atoms.
-    let mut atoms: Vec<Atom> = Vec::new();
-    for cl in clusters.values() {
-        let order_key = (cl.page, cl.min_point.0, cl.min_point.1);
-        if cl.ranges.is_empty() {
-            // Plain net.
-            let mut atom = Atom {
-                page: cl.page,
+    let mut atoms: Vec<Atom> = Vec::with_capacity(count);
+    let mut atom_names: Vec<&str> = Vec::with_capacity(names.len());
+    let mut atom_ports: Vec<&str> = Vec::with_capacity(ports.len());
+    let (mut names_left, mut ranges_left) = (names.as_slice(), ranges.as_slice());
+    let (mut offpage_left, mut ports_left) = (offpage.as_slice(), ports.as_slice());
+    let mut pins_left = pins.into_iter().peekable();
+    for (c, &(page, min_point)) in clusters.iter().enumerate() {
+        let order_key = (page, min_point.0, min_point.1);
+        let cl_names = take_run(&mut names_left, c);
+        let cl_ranges = take_run(&mut ranges_left, c);
+        let cl_offpage = take_run(&mut offpage_left, c);
+        let cl_ports = take_run(&mut ports_left, c);
+        let cl_pins = std::iter::from_fn(|| pins_left.next_if(|e| e.0 == c).map(|e| e.1));
+        if cl_ranges.is_empty() {
+            // Plain net. Inserting the pins one by one fills a single
+            // leaf without the sort buffer a collect would allocate.
+            let start = (atom_names.len(), atom_ports.len());
+            atom_names.extend(cl_names.iter().map(|e| e.1));
+            atom_ports.extend(cl_ports.iter().map(|e| e.1));
+            let mut pins = BTreeSet::new();
+            pins.extend(cl_pins);
+            atoms.push(Atom {
+                page,
                 order_key,
-                names: cl.names.clone(),
-                ports: cl.port_names.clone(),
-                has_offpage: !cl.offpage_names.is_empty(),
-                ..Atom::default()
-            };
-            for (pin, _raw) in &cl.pins {
-                atom.pins.insert(pin.clone());
-            }
-            atoms.push(atom);
-        } else {
-            // Bundle: one atom per covered bit.
-            let bases: BTreeSet<&str> = cl.ranges.iter().map(|(b, _, _, _)| b.as_str()).collect();
-            let mut bits: BTreeMap<String, Atom> = BTreeMap::new();
-            for (b, f, t, pf) in &cl.ranges {
-                for bit in NetExpr::Range(b.clone(), *f, *t).bits() {
-                    if let NetExpr::Bit(bb, i) = bit {
-                        let n = expanded(&bb, Some(i), *pf);
-                        let atom = bits.entry(n.clone()).or_insert_with(|| Atom {
-                            page: cl.page,
-                            order_key,
-                            ..Atom::default()
-                        });
-                        atom.names.insert(n.clone());
-                        if cl.offpage_names.contains(&n) {
-                            atom.has_offpage = true;
-                        }
-                        if cl.port_names.contains(&n) {
-                            atom.ports.insert(n.clone());
-                        }
+                names: start.0..atom_names.len(),
+                ports: start.1..atom_ports.len(),
+                pins,
+                has_offpage: !cl_offpage.is_empty(),
+            });
+            continue;
+        }
+        // Bundle: one atom per covered bit.
+        let cl_pins: Vec<PinRef> = cl_pins.collect();
+        let ranges: Vec<(&str, i64, i64, &[String])> = cl_ranges
+            .iter()
+            .map(|&(_, slot)| match &table[slot] {
+                Ok(LabelNet::Range {
+                    base,
+                    from,
+                    to,
+                    bits,
+                }) => (base.as_str(), *from, *to, bits.as_slice()),
+                _ => unreachable!("only bundle labels are recorded as ranges"),
+            })
+            .collect();
+        let bases: BTreeSet<&str> = ranges.iter().map(|r| r.0).collect();
+        let bundle = || bases.iter().copied().collect::<Vec<_>>().join(",");
+        let mut bits: BTreeMap<&str, Atom> = BTreeMap::new();
+        for &(_, _, _, bit_names) in &ranges {
+            for n in bit_names {
+                bits.entry(n).or_insert_with(|| {
+                    let start = (atom_names.len(), atom_ports.len());
+                    atom_names.push(n);
+                    if cl_ports.iter().any(|e| e.1 == n) {
+                        atom_ports.push(n);
                     }
-                }
+                    Atom {
+                        page,
+                        order_key,
+                        names: start.0..atom_names.len(),
+                        ports: start.1..atom_ports.len(),
+                        pins: BTreeSet::new(),
+                        has_offpage: cl_offpage.iter().any(|e| e.1 == n),
+                    }
+                });
             }
-            // Pins must be bus-bit named with a matching base.
-            let scope: BTreeSet<IStr> = bases.iter().map(|s| IStr::from(*s)).collect();
-            for (pin, raw) in &cl.pins {
-                match BusSyntax::Viewstar.parse(raw, &scope) {
+        }
+        // Pins must be bus-bit named with a matching base.
+        if !cl_pins.is_empty() {
+            let scope: BTreeSet<IStr> = bases
+                .iter()
+                .map(|&b| cell.buses.get(b).cloned().unwrap_or_else(|| IStr::from(b)))
+                .collect();
+            for pin in &cl_pins {
+                match BusSyntax::Viewstar.parse(&pin.pin, &scope) {
                     Ok(p) => match p.expr {
                         NetExpr::Bit(b, i) if bases.contains(b.as_str()) => {
                             // Attach to any postfix variant carrying this bit.
                             let mut attached = false;
-                            for (b2, f, t, pf) in &cl.ranges {
-                                if *b2 == b {
-                                    let lo = *f.min(t);
-                                    let hi = *f.max(t);
-                                    if i >= lo && i <= hi {
-                                        let n = expanded(&b, Some(i), *pf);
-                                        if let Some(atom) = bits.get_mut(&n) {
-                                            atom.pins.insert(pin.clone());
-                                            attached = true;
-                                        }
+                            for &(b2, f, t, bit_names) in &ranges {
+                                if b2 == b && i >= f.min(t) && i <= f.max(t) {
+                                    let n = bit_names[(i - f).unsigned_abs() as usize].as_str();
+                                    if let Some(atom) = bits.get_mut(n) {
+                                        atom.pins.insert(pin.clone());
+                                        attached = true;
                                     }
                                 }
                             }
                             if !attached {
                                 errors.push(ConnError::BusTapMismatch {
-                                    page: cl.page,
+                                    page,
                                     what: format!("pin {pin} bit {i} outside bundle range"),
-                                    bundle: bases.iter().copied().collect::<Vec<_>>().join(","),
+                                    bundle: bundle(),
                                 });
                             }
                         }
                         _ => errors.push(ConnError::BusTapMismatch {
-                            page: cl.page,
+                            page,
                             what: format!("scalar pin {pin}"),
-                            bundle: bases.iter().copied().collect::<Vec<_>>().join(","),
+                            bundle: bundle(),
                         }),
                     },
                     Err(e) => errors.push(ConnError::UnparsedLabel {
-                        page: cl.page,
-                        text: raw.as_str().to_string(),
+                        page,
+                        text: pin.pin.as_str().to_string(),
                         reason: e.to_string(),
                     }),
                 }
             }
-            // Scalar names alongside ranges are taps onto single bits or
-            // mistakes.
-            for n in &cl.names {
-                let covered = bits.contains_key(n);
-                if !covered {
-                    errors.push(ConnError::BusTapMismatch {
-                        page: cl.page,
-                        what: format!("name `{n}`"),
-                        bundle: bases.iter().copied().collect::<Vec<_>>().join(","),
-                    });
-                }
-            }
-            atoms.extend(bits.into_values());
         }
+        // Scalar names alongside ranges are taps onto single bits or
+        // mistakes.
+        let scalar: BTreeSet<&str> = cl_names.iter().map(|e| e.1).collect();
+        for n in scalar {
+            if !bits.contains_key(n) {
+                errors.push(ConnError::BusTapMismatch {
+                    page,
+                    what: format!("name `{n}`"),
+                    bundle: bundle(),
+                });
+            }
+        }
+        atoms.extend(bits.into_values());
     }
 
-    // Pass 5: merge atoms by name per dialect rules.
+    // Pass 5: merge atoms by name per dialect rules, name by name in
+    // name order.
     atoms.sort_by_key(|a| a.order_key);
-    let mut auf = UnionFind::new();
-    for _ in 0..atoms.len() {
-        auf.make();
-    }
-    let mut by_name: BTreeMap<&str, Vec<usize>> = BTreeMap::new();
-    for (i, atom) in atoms.iter().enumerate() {
-        for n in &atom.names {
-            by_name.entry(n).or_default().push(i);
+    let mut auf = UnionFind::with_len(atoms.len());
+    let mut by_name: Vec<(&str, usize)> = atoms
+        .iter()
+        .enumerate()
+        .flat_map(|(i, atom)| atom_names[atom.names.clone()].iter().map(move |&n| (n, i)))
+        .collect();
+    by_name.sort_unstable();
+    by_name.dedup();
+    for members in by_name.chunk_by(|a, b| a.0 == b.0) {
+        let everywhere = rules.implicit_page_nets || design.globals().contains(members[0].0);
+        // Same-page merging always applies. Members are in atom order,
+        // which is page order, so each page's members are one run.
+        for w in members.windows(2) {
+            let (a, b) = (w[0].1, w[1].1);
+            if everywhere || atoms[a].page == atoms[b].page {
+                auf.union(a, b);
+            }
         }
-    }
-    for (name, members) in &by_name {
-        let is_global = design.globals().contains(*name);
-        if rules.implicit_page_nets || is_global {
-            for w in members.windows(2) {
-                auf.union(w[0], w[1]);
-            }
-        } else {
-            // Same-page merging always applies.
-            let mut per_page: BTreeMap<u32, Vec<usize>> = BTreeMap::new();
-            for &m in members {
-                per_page.entry(atoms[m].page).or_default().push(m);
-            }
-            for v in per_page.values() {
-                for w in v.windows(2) {
-                    auf.union(w[0], w[1]);
+        if everywhere {
+            continue;
+        }
+        // Cross-page merging only through off-page connectors.
+        let mut prev: Option<usize> = None;
+        for &(_, m) in members {
+            if atoms[m].has_offpage {
+                if let Some(p) = prev {
+                    auf.union(p, m);
                 }
-            }
-            // Cross-page merging only through off-page connectors.
-            let gated: Vec<usize> = members
-                .iter()
-                .copied()
-                .filter(|&m| atoms[m].has_offpage)
-                .collect();
-            for w in gated.windows(2) {
-                auf.union(w[0], w[1]);
+                prev = Some(m);
             }
         }
     }
 
-    // Pass 6: materialize nets.
-    let mut grouped: BTreeMap<usize, Vec<usize>> = BTreeMap::new();
-    for i in 0..atoms.len() {
-        grouped.entry(auf.find(i)).or_default().push(i);
+    // Pass 6: materialize nets. Groups go by their first atom, ties in
+    // ascending root order; within a group, atoms go in atom order.
+    let (roots, slots, count) = auf.roots_and_slots();
+    let group_of: Vec<usize> = roots.iter().map(|&r| slots[r]).collect();
+    let mut first = vec![usize::MAX; count];
+    for (i, &g) in group_of.iter().enumerate().rev() {
+        first[g] = i;
     }
+    let mut order: Vec<usize> = (0..count).collect();
+    order.sort_by_key(|&g| atoms[first[g]].order_key);
+    let mut rank = vec![0; count];
+    for (k, &g) in order.iter().enumerate() {
+        rank[g] = k;
+    }
+    let mut members: Vec<usize> = (0..atoms.len()).collect();
+    members.sort_by_key(|&i| rank[group_of[i]]);
+
     let port_names: BTreeSet<&str> = cell.ports.iter().map(|p| p.name.as_str()).collect();
-    let mut nets: Vec<ExtractedNet> = Vec::new();
     let mut anon = 0usize;
-    let mut groups: Vec<Vec<usize>> = grouped.into_values().collect();
-    groups.sort_by_key(|g| atoms[g[0]].order_key);
-    for group in groups {
-        let mut net = ExtractedNet::default();
-        for &i in &group {
-            let a = &atoms[i];
-            net.aliases.extend(a.names.iter().cloned());
-            net.pins.extend(a.pins.iter().cloned());
-            net.pages.insert(a.page);
-            net.ports.extend(a.ports.iter().cloned());
-            net.has_offpage |= a.has_offpage;
+    let mut aliases: Vec<&str> = Vec::new();
+    let mut pages: Vec<u32> = Vec::new();
+    for group in members.chunk_by(|&a, &b| group_of[a] == group_of[b]) {
+        aliases.clear();
+        pages.clear();
+        let mut pins: BTreeSet<PinRef> = BTreeSet::new();
+        let mut ports: BTreeSet<String> = BTreeSet::new();
+        let mut has_offpage = false;
+        for &i in group {
+            let a = &mut atoms[i];
+            aliases.extend_from_slice(&atom_names[a.names.clone()]);
+            pins.append(&mut a.pins);
+            pages.push(a.page);
+            ports.extend(atom_ports[a.ports.clone()].iter().map(|s| s.to_string()));
+            has_offpage |= a.has_offpage;
         }
-        if net.pins.is_empty() && net.aliases.is_empty() {
+        if pins.is_empty() && aliases.is_empty() {
             continue; // dangling geometry with nothing attached
         }
+        aliases.sort_unstable();
+        aliases.dedup();
+        pages.sort_unstable();
+        pages.dedup();
         // Name-based port binding (Viewstar has no hierarchy connectors).
-        for alias in &net.aliases {
-            if port_names.contains(alias.as_str()) {
-                net.ports.insert(alias.clone());
+        for alias in &aliases {
+            if port_names.contains(alias) {
+                ports.insert(alias.to_string());
             }
         }
-        net.is_global = net
-            .aliases
-            .iter()
-            .any(|n| design.globals().contains(n.as_str()));
-        net.name = match net.aliases.iter().next() {
-            Some(n) => n.clone(),
+        let is_global = aliases.iter().any(|n| design.globals().contains(*n));
+        let name = match aliases.first() {
+            Some(n) => n.to_string(),
             None => {
                 anon += 1;
                 format!("N${anon}")
             }
         };
-        nets.push(net);
+        emit(RawNet {
+            name,
+            aliases: &aliases,
+            pages: &pages,
+            pins,
+            ports,
+            is_global,
+            has_offpage,
+        });
     }
-    nets.sort_by(|a, b| a.name.cmp(&b.name));
-
-    Extraction {
-        cell: cell.cell.clone(),
-        nets,
-        errors,
-    }
+    errors
 }
 
 /// Extracts every cell of a design into a canonical [`Netlist`].
@@ -587,27 +769,27 @@ pub fn extract_design(
     let mut netlist = Netlist::new(design.name.clone());
     let mut errors = Vec::new();
     for (name, cell) in design.cells() {
-        let ex = extract_cell(design, cell, rules);
-        let mut cn = CellNetlist::default();
-        for sheet in &cell.sheets {
-            for inst in &sheet.instances {
-                cn.instances
-                    .insert(inst.name.clone(), inst.symbol.cell.clone());
-            }
-        }
-        for net in ex.nets {
-            cn.nets.insert(
-                net.name.clone(),
-                NetInfo {
-                    pins: net.pins,
-                    is_global: net.is_global,
-                    ports: net.ports,
-                },
-            );
-        }
-        for e in ex.errors {
-            errors.push((name.to_string(), e));
-        }
+        let mut nets: Vec<(String, NetInfo)> = Vec::new();
+        let cell_errors = extract_nets(design, cell, rules, &mut |net| {
+            let info = NetInfo {
+                pins: net.pins,
+                is_global: net.is_global,
+                ports: net.ports,
+            };
+            nets.push((net.name, info));
+        });
+        // Collecting sorts stably by name and keeps the last of equal
+        // names, as inserting the name-sorted nets one by one would.
+        let cn = CellNetlist {
+            nets: nets.into_iter().collect(),
+            instances: cell
+                .sheets
+                .iter()
+                .flat_map(|s| &s.instances)
+                .map(|inst| (inst.name.clone(), inst.symbol.cell.clone()))
+                .collect(),
+        };
+        errors.extend(cell_errors.into_iter().map(|e| (name.to_string(), e)));
         netlist.cells.insert(name.to_string(), cn);
     }
     (netlist, errors)
@@ -979,5 +1161,48 @@ mod tests {
         let top = &nl.cells["top"];
         assert!(top.nets["OUT"].ports.contains("OUT"));
         assert_eq!(top.instances["I1"], "inv");
+    }
+
+    #[test]
+    fn point_index_finds_exactly_the_points_on_each_segment() {
+        // Points of a small two-page grid; segments vertical, horizontal,
+        // at ±45°, at any other slope, and degenerate.
+        let mut state = 0x9e37_79b9_7f4a_7c15u64;
+        let mut next = |m: i64| {
+            state ^= state << 13;
+            state ^= state >> 7;
+            state ^= state << 17;
+            (state % m as u64) as i64
+        };
+        let keys: Vec<Key> = (0..400)
+            .map(|_| (1 + next(2) as u32, next(24) - 8, next(24) - 8))
+            .collect::<BTreeSet<_>>()
+            .into_iter()
+            .collect();
+        let index = PointIndex::new(keys.iter().copied().zip(0..).collect());
+        for _ in 0..2000 {
+            let page = 1 + next(2) as u32;
+            let a = Point::new(next(24) - 8, next(24) - 8);
+            let b = match next(5) {
+                0 => Point::new(a.x, next(24) - 8),
+                1 => Point::new(next(24) - 8, a.y),
+                2 => {
+                    let d = next(13) - 6;
+                    Point::new(a.x + d, a.y + d * (1 - 2 * next(2)))
+                }
+                3 => a,
+                _ => Point::new(next(24) - 8, next(24) - 8),
+            };
+            let mut hits = Vec::new();
+            index.on_segment(page, a, b, |n| hits.push(n));
+            hits.sort_unstable();
+            let expected: Vec<usize> = (0..keys.len())
+                .filter(|&n| {
+                    let (p, x, y) = keys[n];
+                    p == page && point_on_segment(Point::new(x, y), a, b)
+                })
+                .collect();
+            assert_eq!(hits, expected, "segment {a:?}-{b:?} on page {page}");
+        }
     }
 }

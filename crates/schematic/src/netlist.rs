@@ -5,7 +5,7 @@
 //! form both the source and translated schematics are reduced to; the
 //! comparison here is the independent verifier.
 
-use std::collections::{BTreeMap, BTreeSet};
+use std::collections::{BTreeMap, BTreeSet, HashMap};
 use std::fmt;
 
 use interop_core::intern::IStr;
@@ -257,17 +257,18 @@ pub fn compare(left: &Netlist, right: &Netlist) -> CompareReport {
             }
         }
 
-        // Structural matching: key each net by its pin set.
-        let mut right_by_pins: BTreeMap<&BTreeSet<PinRef>, Vec<&str>> = BTreeMap::new();
-        for (name, info) in &rc.nets {
-            if info.pins.is_empty() {
-                continue;
+        // Structural matching: key each right net by its pin set; each
+        // left net takes the first unused right net (in name order) with
+        // an equal pin set.
+        let right_nets: Vec<(&String, &NetInfo)> = rc.nets.iter().collect();
+        let mut right_by_pins: HashMap<&BTreeSet<PinRef>, Vec<usize>> = HashMap::new();
+        for (k, (_, info)) in right_nets.iter().enumerate() {
+            if !info.pins.is_empty() {
+                right_by_pins.entry(&info.pins).or_default().push(k);
             }
-            right_by_pins.entry(&info.pins).or_default().push(name);
         }
-
-        let mapping = report.net_mapping.entry(cell.clone()).or_default();
-        let mut used_right: BTreeSet<&str> = BTreeSet::new();
+        let mut used_right = vec![false; right_nets.len()];
+        let mut mapping: Vec<(String, String)> = Vec::new();
 
         for (lname, linfo) in &lc.nets {
             if linfo.pins.is_empty() {
@@ -275,11 +276,11 @@ pub fn compare(left: &Netlist, right: &Netlist) -> CompareReport {
             }
             let candidate = right_by_pins
                 .get(&linfo.pins)
-                .and_then(|names| names.iter().find(|n| !used_right.contains(**n)).copied());
+                .and_then(|ks| ks.iter().copied().find(|&k| !used_right[k]));
             match candidate {
-                Some(rname) => {
-                    used_right.insert(rname);
-                    mapping.insert(lname.clone(), rname.to_string());
+                Some(k) => {
+                    used_right[k] = true;
+                    mapping.push((lname.clone(), right_nets[k].0.clone()));
                 }
                 None => report.diffs.push(NetlistDiff::NetUnmatched {
                     side: "left",
@@ -289,14 +290,17 @@ pub fn compare(left: &Netlist, right: &Netlist) -> CompareReport {
                 }),
             }
         }
-        for (rname, rinfo) in &rc.nets {
-            if rinfo.pins.is_empty() || used_right.contains(rname.as_str()) {
+        report
+            .net_mapping
+            .insert(cell.clone(), mapping.into_iter().collect());
+        for (k, (rname, rinfo)) in right_nets.iter().enumerate() {
+            if rinfo.pins.is_empty() || used_right[k] {
                 continue;
             }
             report.diffs.push(NetlistDiff::NetUnmatched {
                 side: "right",
                 cell: cell.clone(),
-                net: rname.clone(),
+                net: (*rname).clone(),
                 pins: rinfo.pins.iter().map(|p| p.to_string()).collect(),
             });
         }

@@ -89,17 +89,24 @@ impl Wire {
 
 /// True when `p` lies on the closed segment `a`–`b`. A degenerate
 /// segment (`a == b`) contains only that single point.
+///
+/// Exact over the whole `i64` plane: parsed coordinates may be any
+/// `i64`, and `i64` products overflow already past about 3×10⁹. The
+/// differences are taken in `i128` and the cross product compared by
+/// sign and `u128` magnitude, which cannot overflow.
 pub fn point_on_segment(p: Point, a: Point, b: Point) -> bool {
     if a == b {
         return p == a;
     }
-    let cross = (b.x - a.x) * (p.y - a.y) - (b.y - a.y) * (p.x - a.x);
-    if cross != 0 {
+    let within = |v: i64, e0: i64, e1: i64| e0.min(e1) <= v && v <= e0.max(e1);
+    if !within(p.x, a.x, b.x) || !within(p.y, a.y, b.y) {
         return false;
     }
-    let dot = (p.x - a.x) * (b.x - a.x) + (p.y - a.y) * (b.y - a.y);
-    let len2 = (b.x - a.x) * (b.x - a.x) + (b.y - a.y) * (b.y - a.y);
-    dot >= 0 && dot <= len2
+    // Inside the bounding box, collinear means on the segment.
+    let product = |u: i128, v: i128| (u.signum() * v.signum(), u.unsigned_abs() * v.unsigned_abs());
+    let (dx, dy) = (b.x as i128 - a.x as i128, b.y as i128 - a.y as i128);
+    let (px, py) = (p.x as i128 - a.x as i128, p.y as i128 - a.y as i128);
+    product(dx, py) == product(dy, px)
 }
 
 /// The kinds of connector objects a sheet may carry.
@@ -267,6 +274,34 @@ mod tests {
         assert!(point_on_segment(Point::new(5, 5), a, b));
         assert!(!point_on_segment(Point::new(5, 6), a, b));
         assert!(!point_on_segment(Point::new(11, 11), a, b));
+    }
+
+    #[test]
+    fn point_on_segment_does_not_overflow_on_large_coordinates() {
+        let a = Point::new(0, 0);
+        let b = Point::new(4_000_000_000, 4_000_000_000);
+        assert!(point_on_segment(
+            Point::new(3_000_000_000, 3_000_000_000),
+            a,
+            b
+        ));
+        assert!(!point_on_segment(
+            Point::new(3_000_000_000, 3_000_000_001),
+            a,
+            b
+        ));
+        assert!(!point_on_segment(
+            Point::new(5_000_000_000, 5_000_000_000),
+            a,
+            b
+        ));
+        let far = Point::new(i64::MAX, i64::MIN);
+        assert!(point_on_segment(far, far, Point::new(i64::MIN, i64::MAX)));
+        assert!(point_on_segment(
+            Point::new(-1, 0),
+            far,
+            Point::new(i64::MIN, i64::MAX)
+        ));
     }
 
     #[test]
