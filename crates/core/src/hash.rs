@@ -28,11 +28,15 @@ pub const FNV_PRIME: u64 = 0x0000_0100_0000_01B3;
 
 /// An incremental, process-independent 64-bit content hasher
 /// (FNV-1a). Also counts the bytes fed into it, which the migration
-/// cache reuses as a free size estimate for the hashed value.
+/// cache uses as a size estimate for the hashed value (see
+/// [`size_of`]).
 #[derive(Debug, Clone)]
 pub struct StableHasher {
     state: u64,
     bytes: usize,
+    /// False for the count-only walk of [`size_of`]: bytes are counted
+    /// but not mixed into `state`.
+    hashing: bool,
 }
 
 impl Default for StableHasher {
@@ -44,10 +48,7 @@ impl Default for StableHasher {
 impl StableHasher {
     /// A fresh hasher at the FNV offset basis.
     pub fn new() -> Self {
-        StableHasher {
-            state: FNV_OFFSET,
-            bytes: 0,
-        }
+        StableHasher::seeded(FNV_OFFSET)
     }
 
     /// A hasher seeded from a previous digest, for chaining
@@ -56,15 +57,18 @@ impl StableHasher {
         StableHasher {
             state: seed,
             bytes: 0,
+            hashing: true,
         }
     }
 
     /// Feeds raw bytes. No framing — callers that hash variable-length
     /// data should prefer [`StableHasher::write_bytes`].
     pub fn write_raw(&mut self, bytes: &[u8]) {
-        for &b in bytes {
-            self.state ^= b as u64;
-            self.state = self.state.wrapping_mul(FNV_PRIME);
+        if self.hashing {
+            for &b in bytes {
+                self.state ^= b as u64;
+                self.state = self.state.wrapping_mul(FNV_PRIME);
+            }
         }
         self.bytes += bytes.len();
     }
@@ -141,12 +145,24 @@ pub fn hash_of<T: StableHash + ?Sized>(value: &T) -> u64 {
 }
 
 /// One-shot digest plus the byte-count estimate accumulated while
-/// hashing. The migration cache uses the byte count for LRU
-/// accounting without a second pass over the value.
+/// hashing.
 pub fn hash_and_size<T: StableHash + ?Sized>(value: &T) -> (u64, usize) {
     let mut h = StableHasher::new();
     value.stable_hash(&mut h);
     (h.finish(), h.bytes_written())
+}
+
+/// The byte-count estimate of [`hash_and_size`] alone: exactly
+/// `hash_and_size(value).1`, from the same structural walk with the
+/// per-byte hashing skipped. The migration cache charges its byte
+/// budget with this.
+pub fn size_of<T: StableHash + ?Sized>(value: &T) -> usize {
+    let mut h = StableHasher {
+        hashing: false,
+        ..StableHasher::new()
+    };
+    value.stable_hash(&mut h);
+    h.bytes_written()
 }
 
 impl StableHash for u8 {
@@ -333,6 +349,10 @@ mod tests {
         let (h2, s2) = hash_and_size("a much longer input string");
         assert_ne!(h1, h2);
         assert!(s2 > s1);
+        assert_eq!(size_of("tiny"), s1);
+        assert_eq!(size_of("a much longer input string"), s2);
+        let nested: Vec<(String, Option<u64>)> = vec![("a".into(), None), ("bc".into(), Some(3))];
+        assert_eq!(size_of(&nested), hash_and_size(&nested).1);
     }
 
     #[test]

@@ -4,38 +4,43 @@
 //! A batch migration re-reads the same library, cell, pin, net, and
 //! property names thousands of times — `VDD`, `CLK`, `refdes`,
 //! `stdcell/nand2` — and with plain `String` fields every design pays
-//! a fresh heap allocation per occurrence. [`IStr`] is a shared,
-//! immutable handle (`Arc<str>`) deduplicated through a global sharded
-//! intern table: the first occurrence allocates, every later
-//! occurrence is a table lookup plus a reference-count bump.
+//! a fresh heap allocation per occurrence. [`IStr`] is an immutable
+//! handle to a `&'static str` deduplicated through a global sharded
+//! intern table: the first occurrence copies the text into an
+//! allocation that is leaked once and lives for the rest of the
+//! process; every later occurrence is a table lookup. Cloning a handle
+//! copies a pointer and dropping one does nothing, so copying or
+//! dropping a design touches no shared reference count, however many
+//! threads hold the same names.
 //!
 //! Design points:
 //!
 //! * **Order and equality are by content**, so swapping `String` for
 //!   `IStr` inside `BTreeMap`/`BTreeSet` keys changes neither iteration
-//!   order nor any emitted byte. Equality takes the pointer fast path
-//!   first — two interned handles with equal content share one
-//!   allocation.
-//! * **`Borrow<str>`** lets ordered maps keyed by `IStr` keep their
-//!   `get(&str)` lookups; `Deref<Target = str>` keeps most call sites
-//!   compiling untouched.
+//!   order nor any emitted byte. Every handle for a given text points
+//!   at the same allocation, so equality is a pointer comparison and
+//!   ordering takes that fast path before comparing bytes.
+//! * **`Borrow<str>`** lets maps and sets keyed by `IStr` keep their
+//!   `get(&str)` lookups (`Hash` agrees with `str`'s);
+//!   `Deref<Target = str>` keeps most call sites compiling untouched.
 //! * The table is append-only for the process lifetime (names are tiny
 //!   and heavily reused; eviction would cost more bookkeeping than it
-//!   frees). [`stats`] exposes its size for observability.
+//!   frees), which is what makes leaking each string sound. [`stats`]
+//!   exposes its size for observability.
 
 use std::borrow::Borrow;
 use std::cmp::Ordering;
 use std::collections::HashSet;
 use std::fmt;
 use std::ops::Deref;
-use std::sync::{Arc, Mutex, OnceLock};
+use std::sync::{Mutex, OnceLock};
 
 use crate::hash::{FNV_OFFSET, FNV_PRIME};
 
 const SHARDS: usize = 16;
 
 struct InternTable {
-    shards: [Mutex<HashSet<Arc<str>>>; SHARDS],
+    shards: [Mutex<HashSet<&'static str>>; SHARDS],
 }
 
 fn table() -> &'static InternTable {
@@ -58,12 +63,14 @@ fn shard_of(s: &str) -> usize {
 pub fn intern(s: &str) -> IStr {
     let shard = &table().shards[shard_of(s)];
     let mut set = shard.lock().unwrap_or_else(|p| p.into_inner());
-    if let Some(existing) = set.get(s) {
-        return IStr(Arc::clone(existing));
+    if let Some(&existing) = set.get(s) {
+        return IStr(existing);
     }
-    let arc: Arc<str> = Arc::from(s);
-    set.insert(Arc::clone(&arc));
-    IStr(arc)
+    // Leaked on purpose: the table never removes a string, so the
+    // allocation would live until exit anyway.
+    let leaked: &'static str = Box::leak(Box::from(s));
+    set.insert(leaked);
+    IStr(leaked)
 }
 
 /// Intern-table occupancy: `(distinct strings, total content bytes)`.
@@ -78,21 +85,25 @@ pub fn stats() -> (usize, usize) {
     (count, bytes)
 }
 
-/// An interned, immutable string handle. Cheap to clone (one atomic
-/// increment), content-ordered, and transparently usable as `&str`.
+/// An interned, immutable string handle. Cloning copies a pointer and
+/// dropping does nothing; handles are content-ordered and
+/// transparently usable as `&str`.
+///
+/// Deliberately not `Copy`: call sites spell copies as `.clone()`,
+/// which clippy's `clone_on_copy` would flag on a `Copy` type.
 #[derive(Clone)]
-pub struct IStr(Arc<str>);
+pub struct IStr(&'static str);
 
 impl IStr {
     /// The underlying string slice.
     pub fn as_str(&self) -> &str {
-        &self.0
+        self.0
     }
 
-    /// True when both handles share one allocation — the common case
-    /// for equal interned strings.
+    /// True when both handles point at one allocation, which holds for
+    /// every pair of handles with equal content.
     pub fn ptr_eq(a: &IStr, b: &IStr) -> bool {
-        Arc::ptr_eq(&a.0, &b.0)
+        std::ptr::eq(a.0, b.0)
     }
 }
 
@@ -105,25 +116,27 @@ impl Default for IStr {
 impl Deref for IStr {
     type Target = str;
     fn deref(&self) -> &str {
-        &self.0
+        self.0
     }
 }
 
 impl AsRef<str> for IStr {
     fn as_ref(&self) -> &str {
-        &self.0
+        self.0
     }
 }
 
 impl Borrow<str> for IStr {
     fn borrow(&self) -> &str {
-        &self.0
+        self.0
     }
 }
 
 impl PartialEq for IStr {
     fn eq(&self, other: &Self) -> bool {
-        IStr::ptr_eq(self, other) || self.0 == other.0
+        // `intern` hands out one allocation per distinct text, so
+        // content equality is pointer equality.
+        IStr::ptr_eq(self, other)
     }
 }
 
@@ -140,7 +153,7 @@ impl Ord for IStr {
         if IStr::ptr_eq(self, other) {
             Ordering::Equal
         } else {
-            self.0.cmp(&other.0)
+            self.0.cmp(other.0)
         }
     }
 }
@@ -148,19 +161,19 @@ impl Ord for IStr {
 impl std::hash::Hash for IStr {
     fn hash<H: std::hash::Hasher>(&self, state: &mut H) {
         // Must agree with `str`'s Hash for Borrow-keyed map lookups.
-        (*self.0).hash(state);
+        self.0.hash(state);
     }
 }
 
 impl fmt::Display for IStr {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        fmt::Display::fmt(&self.0, f)
+        fmt::Display::fmt(self.0, f)
     }
 }
 
 impl fmt::Debug for IStr {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        fmt::Debug::fmt(&self.0, f)
+        fmt::Debug::fmt(self.0, f)
     }
 }
 
@@ -239,7 +252,8 @@ impl PartialEq<IStr> for String {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use std::collections::BTreeMap;
+    use std::collections::{BTreeMap, HashMap};
+    use std::sync::Barrier;
 
     #[test]
     fn equal_content_shares_one_allocation() {
@@ -271,24 +285,54 @@ mod tests {
     }
 
     #[test]
+    fn hashmap_and_hashset_keyed_by_istr_support_str_lookup() {
+        let mut h: HashMap<IStr, u32> = HashMap::new();
+        h.insert(intern("refdes"), 7);
+        assert_eq!(h.get("refdes"), Some(&7));
+        assert_eq!(h.get("missing"), None);
+
+        let set: HashSet<IStr> = ["VDD", "GND"].into_iter().map(intern).collect();
+        assert!(set.contains("VDD"));
+        assert!(!set.contains("vdd"));
+    }
+
+    #[test]
+    fn default_is_the_interned_empty_string() {
+        assert_eq!(IStr::default(), intern(""));
+        assert!(IStr::ptr_eq(&IStr::default(), &intern("")));
+        assert_eq!(IStr::default().as_str(), "");
+    }
+
+    #[test]
     fn interning_is_thread_safe() {
-        let handles: Vec<_> = (0..8)
-            .map(|t| {
-                std::thread::spawn(move || {
-                    (0..100)
-                        .map(|i| intern(&format!("shared_{}", (t + i) % 10)))
-                        .collect::<Vec<_>>()
+        // Every thread interns the same fresh text at once (the barrier
+        // lines them up on its first sighting), then a shared set.
+        let start = Barrier::new(8);
+        let all: Vec<Vec<IStr>> = std::thread::scope(|scope| {
+            let handles: Vec<_> = (0..8)
+                .map(|t| {
+                    let start = &start;
+                    scope.spawn(move || {
+                        start.wait();
+                        let mut got = vec![intern("first_sighting_race")];
+                        got.extend((0..100).map(|i| intern(&format!("shared_{}", (t + i) % 10))));
+                        got
+                    })
                 })
-            })
-            .collect();
-        let all: Vec<Vec<IStr>> = handles.into_iter().map(|h| h.join().unwrap()).collect();
-        let probe = intern("shared_3");
-        for batch in &all {
-            for s in batch {
-                if s.as_str() == "shared_3" {
-                    assert!(IStr::ptr_eq(s, &probe));
-                }
+                .collect();
+            handles.into_iter().map(|h| h.join().unwrap()).collect()
+        });
+        for probe in [intern("first_sighting_race"), intern("shared_3")] {
+            let mut seen = 0;
+            for s in all
+                .iter()
+                .flatten()
+                .filter(|s| s.as_str() == probe.as_str())
+            {
+                assert!(IStr::ptr_eq(s, &probe), "{probe} interned twice");
+                seen += 1;
             }
+            assert!(seen >= 8, "{probe} seen {seen} times");
         }
     }
 

@@ -20,6 +20,17 @@
 //! checkpoint format: debuggable with `cat`) holding clean full-chain
 //! outcomes so warm starts survive process restarts.
 //!
+//! Each entry is charged the byte estimate of
+//! [`interop_core::hash::size_of`]: a count-only walk of the stored
+//! design (the bytes its stable hash would consume, without hashing
+//! them) plus its stage reports. The walk runs before the shard lock is
+//! taken. A shard's mutex covers only its map operations: entries are
+//! held as `Arc<CachedRun>`, so a lookup clones the `Arc` under the
+//! lock and deep-copies the run after releasing it, and the entries a
+//! store replaces or evicts are dropped after it unlocks. The cache
+//! also keeps a running total of live bytes ([`MigrationCache::bytes`])
+//! so per-request accounting needs no lock at all.
+//!
 //! ```
 //! use std::sync::Arc;
 //! use migrate::{MigrationCache, Migrator};
@@ -38,10 +49,10 @@
 use std::collections::HashMap;
 use std::fs;
 use std::path::{Path, PathBuf};
-use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::Mutex;
+use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
+use std::sync::{Arc, Mutex};
 
-use interop_core::hash::{hash_and_size, StableHash, StableHasher};
+use interop_core::hash::{size_of, StableHash, StableHasher};
 use schematic::design::Design;
 use schematic::dialect::DialectId;
 
@@ -132,8 +143,11 @@ impl CachedRun {
         self.stages.iter().all(|(_, r)| r.issues.is_empty())
     }
 
-    fn estimated_bytes(&self) -> usize {
-        let (_, design_bytes) = hash_and_size(&self.design);
+    /// The bytes this run is charged against the cache's budget: the
+    /// design's [`size_of`] estimate, the issue texts, and 64 bytes per
+    /// stage report.
+    pub fn estimated_bytes(&self) -> usize {
+        let design_bytes = size_of(&self.design);
         let issue_bytes: usize = self
             .stages
             .iter()
@@ -157,7 +171,7 @@ pub enum Lookup {
 }
 
 struct Entry {
-    run: CachedRun,
+    run: Arc<CachedRun>,
     bytes: usize,
     last_used: u64,
 }
@@ -189,7 +203,9 @@ pub struct CacheStats {
     pub disk_stores: u64,
     /// Live in-memory entries.
     pub entries: usize,
-    /// Estimated bytes held by live entries.
+    /// Estimated bytes held by live entries (summed over the shards;
+    /// equal to [`MigrationCache::bytes`] whenever no call is in
+    /// flight).
     pub bytes: usize,
 }
 
@@ -198,6 +214,9 @@ pub struct CacheStats {
 pub struct MigrationCache {
     shards: Vec<Mutex<Shard>>,
     capacity: usize,
+    /// Running total of `Shard::bytes` over all shards, adjusted by
+    /// each store, purge and clear while it holds the shard's lock.
+    bytes: AtomicUsize,
     tick: AtomicU64,
     hits: AtomicU64,
     prefix_hits: AtomicU64,
@@ -227,6 +246,7 @@ impl MigrationCache {
         MigrationCache {
             shards: (0..SHARDS).map(|_| Mutex::new(Shard::default())).collect(),
             capacity: capacity.max(1),
+            bytes: AtomicUsize::new(0),
             tick: AtomicU64::new(0),
             hits: AtomicU64::new(0),
             prefix_hits: AtomicU64::new(0),
@@ -264,11 +284,25 @@ impl MigrationCache {
     }
 
     fn get(&self, design: u64, chain: u64) -> Option<CachedRun> {
-        let mut shard = self.shard(design, chain).lock().unwrap();
-        let tick = self.touch();
-        let entry = shard.map.get_mut(&(design, chain))?;
-        entry.last_used = tick;
-        Some(entry.run.clone())
+        let run = {
+            let mut shard = self.shard(design, chain).lock().unwrap();
+            let tick = self.touch();
+            let entry = shard.map.get_mut(&(design, chain))?;
+            entry.last_used = tick;
+            Arc::clone(&entry.run)
+        };
+        Some(CachedRun::clone(&run))
+    }
+
+    /// Moves the running total by a shard's change from `before` to
+    /// `after` bytes. Called with that shard's lock held, so the total
+    /// equals the shards' sum whenever no call is in flight.
+    fn account(&self, before: usize, after: usize) {
+        if after >= before {
+            self.bytes.fetch_add(after - before, Ordering::Relaxed);
+        } else {
+            self.bytes.fetch_sub(before - after, Ordering::Relaxed);
+        }
     }
 
     /// Probes for `design_hash` under `chain`: the full-chain result
@@ -283,7 +317,8 @@ impl MigrationCache {
         if let Some(run) = self.disk_load(design_hash, full, chain.target) {
             self.disk_hits.fetch_add(1, Ordering::Relaxed);
             self.hits.fetch_add(1, Ordering::Relaxed);
-            self.store(design_hash, full, run.clone());
+            let evicted = self.store(design_hash, full, run.clone());
+            self.evictions.fetch_add(evicted, Ordering::Relaxed);
             return Lookup::Hit(run);
         }
         // Longest prefix strictly shorter than the full chain.
@@ -298,39 +333,39 @@ impl MigrationCache {
     }
 
     fn store(&self, design: u64, chain: u64, run: CachedRun) -> u64 {
+        let key = (design, chain);
         let bytes = run.estimated_bytes();
-        let tick = self.touch();
+        let entry = Entry {
+            run: Arc::new(run),
+            bytes,
+            last_used: self.touch(),
+        };
+        let budget = (self.capacity / SHARDS).max(1);
         let mut shard = self.shard(design, chain).lock().unwrap();
-        if let Some(old) = shard.map.insert(
-            (design, chain),
-            Entry {
-                run,
-                bytes,
-                last_used: tick,
-            },
-        ) {
+        let before = shard.bytes;
+        let replaced = shard.map.insert(key, entry);
+        if let Some(old) = &replaced {
             shard.bytes -= old.bytes;
         }
         shard.bytes += bytes;
-        let budget = (self.capacity / SHARDS).max(1);
-        let mut evicted = 0;
+        let mut evicted = Vec::new();
         while shard.bytes > budget && shard.map.len() > 1 {
             let lru = shard
                 .map
                 .iter()
-                .filter(|(k, _)| **k != (design, chain))
+                .filter(|(k, _)| **k != key)
                 .min_by_key(|(_, e)| e.last_used)
                 .map(|(k, _)| *k);
-            match lru {
-                Some(key) => {
-                    let entry = shard.map.remove(&key).unwrap();
-                    shard.bytes -= entry.bytes;
-                    evicted += 1;
-                }
-                None => break,
-            }
+            let Some(lru) = lru else { break };
+            let entry = shard.map.remove(&lru).unwrap();
+            shard.bytes -= entry.bytes;
+            evicted.push(entry);
         }
-        evicted
+        self.account(before, shard.bytes);
+        // Unlock first: the replaced and evicted runs are freed after.
+        drop(shard);
+        drop(replaced);
+        evicted.len() as u64
     }
 
     /// Inserts a (possibly partial) pipeline result. `full` marks a
@@ -355,16 +390,22 @@ impl MigrationCache {
     pub fn purge_design(&self, design_hash: u64) {
         for shard in &self.shards {
             let mut shard = shard.lock().unwrap();
-            let doomed: Vec<(u64, u64)> = shard
+            let before = shard.bytes;
+            let keys: Vec<(u64, u64)> = shard
                 .map
                 .keys()
                 .filter(|(d, _)| *d == design_hash)
                 .copied()
                 .collect();
-            for key in doomed {
+            let mut doomed = Vec::with_capacity(keys.len());
+            for key in keys {
                 let entry = shard.map.remove(&key).unwrap();
                 shard.bytes -= entry.bytes;
+                doomed.push(entry);
             }
+            self.account(before, shard.bytes);
+            drop(shard);
+            drop(doomed);
         }
         if let Some(dir) = &self.disk {
             let prefix = format!("{design_hash:016x}-");
@@ -382,9 +423,20 @@ impl MigrationCache {
     pub fn clear(&self) {
         for shard in &self.shards {
             let mut shard = shard.lock().unwrap();
-            shard.map.clear();
+            let entries = std::mem::take(&mut shard.map);
+            self.account(shard.bytes, 0);
             shard.bytes = 0;
+            drop(shard);
+            drop(entries);
         }
+    }
+
+    /// Estimated bytes held by live entries, read from the running
+    /// total without locking any shard. While stores, purges or clears
+    /// are in flight it may lag [`CacheStats::bytes`]; at rest the two
+    /// are equal.
+    pub fn bytes(&self) -> usize {
+        self.bytes.load(Ordering::Relaxed)
     }
 
     /// Point-in-time statistics.
@@ -620,6 +672,43 @@ mod tests {
         let stats = cache.stats();
         assert!(stats.evictions >= 2, "evictions: {}", stats.evictions);
         assert!(stats.entries <= SHARDS);
+    }
+
+    #[test]
+    fn disk_restores_count_the_evictions_they_cause() {
+        let dir = std::env::temp_dir().join(format!(
+            "migrate-cache-restore-evicts-{}",
+            std::process::id()
+        ));
+        let _ = std::fs::remove_dir_all(&dir);
+        let cache = MigrationCache::with_capacity_bytes(1).with_disk_tier(&dir);
+        let design = crate::Migrator::default()
+            .migrate(&generate(&GenConfig::default()), DialectId::Cascade)
+            .design;
+        let run = CachedRun {
+            design,
+            stages: Vec::new(),
+        };
+        // Same shard (design ^ chain equal): the second insert evicts
+        // the first, which stays on disk.
+        cache.insert(2, 2, run.clone(), true);
+        cache.insert(16 + 2, 16 + 2, run, true);
+        assert_eq!(cache.stats().evictions, 1);
+
+        // Restoring (2, 2) from disk evicts (18, 18) in turn.
+        let chain = StageChain {
+            source: DialectId::Viewstar,
+            target: DialectId::Cascade,
+            base: 2,
+            stages: Vec::new(),
+            hashes: Vec::new(),
+        };
+        assert!(matches!(cache.lookup(2, &chain), Lookup::Hit(_)));
+        let stats = cache.stats();
+        assert_eq!((stats.disk_hits, stats.evictions), (1, 2));
+        assert_eq!(stats.entries, 1);
+        assert_eq!(stats.bytes, cache.bytes());
+        let _ = std::fs::remove_dir_all(&dir);
     }
 
     #[test]

@@ -165,8 +165,8 @@ pub struct MigrationConfig {
 /// Identifies one pipeline stage (for reports and ablation).
 ///
 /// The eight built-in stages cover every Section 2 issue category;
-/// [`StageId::Custom`] identifies externally registered [`Stage`]
-/// implementations (see [`crate::stage::Stage`]).
+/// [`StageId::Custom`] identifies externally registered
+/// [`crate::stage::Stage`] implementations.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub enum StageId {
     /// Geometry scaling between grids.

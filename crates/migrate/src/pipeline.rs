@@ -327,7 +327,7 @@ impl Migrator {
             if evicted > 0 {
                 recorder.add_counter("migrate.cache.evict", evicted);
             }
-            recorder.record_value("migrate.cache.bytes", cache.stats().bytes as u64);
+            recorder.record_value("migrate.cache.bytes", cache.bytes() as u64);
         }
         for (id, stage_report) in executed {
             report.stage_mut(id).merge(stage_report);

@@ -27,7 +27,7 @@
 //! 64-bit vector is a handful of `u64` ops instead of 64 `match`
 //! dispatches.
 //!
-//! The original per-bit implementation is retained in [`reference`] and
+//! The original per-bit implementation is retained in [`mod@reference`] and
 //! can be forced for a thread with [`reference::force`]; kernel-level
 //! tests pin the packed path by demanding byte-identical waveforms
 //! between the two.
@@ -682,11 +682,11 @@ impl fmt::Display for Value {
 /// Every packed truth-table op ([`Value::and`], [`Value::or`],
 /// [`Value::xor`], [`Value::not`], [`Value::logic_eq`],
 /// [`Value::merge`], the reductions) checks a thread-local flag and,
-/// when [`force`] is active on the calling thread, routes through the
-/// original per-bit [`Logic`]-table implementation instead of the plane
-/// arithmetic. Tests use this to demand byte-identical waveforms from
-/// the two paths; benches use it as the baseline for the packed
-/// speedup.
+/// when [`reference::force`] is active on the calling thread, routes
+/// through the original per-bit [`Logic`]-table implementation instead
+/// of the plane arithmetic. Tests use this to demand byte-identical
+/// waveforms from the two paths; benches use it as the baseline for the
+/// packed speedup.
 pub mod reference {
     use super::{Logic, Value};
     use std::cell::Cell;
