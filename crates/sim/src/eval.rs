@@ -1,29 +1,40 @@
-//! Expression evaluation and statement execution over circuit state.
+//! Expression evaluation and the in-place store, over circuit state.
+//!
+//! [`eval`] borrows where it can: a signal or constant operand is read
+//! in place (`Cow::Borrowed`), so an operator allocates only its own
+//! result, and a bare signal or constant on the right of an assignment
+//! costs nothing until it is stored. [`store`] compares the new value
+//! against the stored one without cloning and moves it into place.
+//!
+//! Arithmetic (`+`, `-`, unary `-`, shifts, `<`, `>`, `<=`, `>=`) is
+//! computed word-wise at any width for fully known operands, truncated
+//! to the wider operand's width as Verilog does. `*`, `/` and `%` stay
+//! 64-bit: above 64 bits they give all-x.
+
+use std::borrow::Cow;
 
 use hdl::ast::{BinOp, UnOp};
 
-use crate::elab::{LRef, SExpr, SStmt, SigId, SignalDef};
+use crate::elab::{SExpr, SigId, SignalDef};
 use crate::logic::{Logic, Value};
 
-/// Evaluates an expression against the current state.
-pub fn eval(e: &SExpr, state: &[Value], defs: &[SignalDef]) -> Value {
-    match e {
-        SExpr::Sig(s) => state[*s].clone(),
-        SExpr::Bit(s, idx) => {
-            let iv = eval(idx, state, defs);
-            match iv.as_u64() {
-                Some(i) => {
-                    let rel = i as i64 - defs[*s].lsb;
-                    if rel < 0 {
-                        Value::bit(Logic::X)
-                    } else {
-                        Value::bit(state[*s].get(rel as usize))
-                    }
+/// Evaluates an expression against the current state. Signal and
+/// constant leaves come back borrowed; everything else is a fresh value.
+pub fn eval<'a>(e: &'a SExpr, state: &'a [Value], defs: &[SignalDef]) -> Cow<'a, Value> {
+    let owned = match e {
+        SExpr::Sig(s) => return Cow::Borrowed(&state[*s]),
+        SExpr::Const(v) => return Cow::Borrowed(v),
+        SExpr::Bit(s, idx) => match eval(idx, state, defs).as_u64() {
+            Some(i) => {
+                let rel = i as i64 - defs[*s].lsb;
+                if rel < 0 {
+                    Value::bit(Logic::X)
+                } else {
+                    Value::bit(state[*s].get(rel as usize))
                 }
-                None => Value::bit(Logic::X),
             }
-        }
-        SExpr::Const(v) => v.clone(),
+            None => Value::bit(Logic::X),
+        },
         SExpr::Unary(op, x) => {
             let v = eval(x, state, defs);
             match op {
@@ -32,34 +43,33 @@ pub fn eval(e: &SExpr, state: &[Value], defs: &[SignalDef]) -> Value {
                     Some(b) => Value::bit(if b { Logic::Zero } else { Logic::One }),
                     None => Value::bit(Logic::X),
                 },
-                UnOp::Neg => match v.as_u64() {
-                    Some(n) => Value::from_u64(n.wrapping_neg(), v.width()),
-                    None => Value::unknown(v.width()),
-                },
+                UnOp::Neg => v.neg(),
                 UnOp::RedAnd => Value::bit(v.reduce_and()),
                 UnOp::RedOr => Value::bit(v.reduce_or()),
             }
         }
-        SExpr::Binary(op, a, b) => {
-            let va = eval(a, state, defs);
-            let vb = eval(b, state, defs);
-            binary(*op, &va, &vb)
-        }
-        SExpr::Ternary(c, a, b) => {
-            let vc = eval(c, state, defs);
-            match vc.truthy() {
-                Some(true) => eval(a, state, defs),
-                Some(false) => eval(b, state, defs),
-                None => eval(a, state, defs).merge(&eval(b, state, defs)),
-            }
-        }
+        SExpr::Binary(op, a, b) => binary(*op, &eval(a, state, defs), &eval(b, state, defs)),
+        SExpr::Ternary(c, a, b) => match eval(c, state, defs).truthy() {
+            Some(true) => return eval(a, state, defs),
+            Some(false) => return eval(b, state, defs),
+            None => eval(a, state, defs).merge(&eval(b, state, defs)),
+        },
         SExpr::Concat(items) => {
             // MSB-first operand order: the first item occupies the top
-            // bits. Word-level blit, no per-bit round trip.
-            let parts: Vec<Value> = items.iter().map(|i| eval(i, state, defs)).collect();
-            let refs: Vec<&Value> = parts.iter().collect();
-            Value::concat_msb(&refs)
+            // bits. Parts are read by reference and blitted word-wise.
+            let parts: Vec<Cow<'_, Value>> = items.iter().map(|i| eval(i, state, defs)).collect();
+            Value::concat_msb(&parts)
         }
+    };
+    Cow::Owned(owned)
+}
+
+/// Takes an evaluated value at exactly `width` bits: an owned value of
+/// the right width moves through, anything else costs one copy.
+pub fn sized(v: Cow<'_, Value>, width: usize) -> Value {
+    match v {
+        Cow::Borrowed(v) => v.resized(width),
+        Cow::Owned(v) => v.into_resized(width),
     }
 }
 
@@ -81,49 +91,39 @@ fn binary(op: BinOp, a: &Value, b: &Value) -> Value {
         },
         BinOp::Eq => Value::bit(a.logic_eq(b)),
         BinOp::Ne => Value::bit(a.logic_eq(b).not()),
-        BinOp::Lt | BinOp::Gt | BinOp::Le | BinOp::Ge => match (a.as_u64(), b.as_u64()) {
-            (Some(x), Some(y)) => {
+        BinOp::Lt | BinOp::Gt | BinOp::Le | BinOp::Ge => match a.cmp_known(b) {
+            Some(o) => {
                 let r = match op {
-                    BinOp::Lt => x < y,
-                    BinOp::Gt => x > y,
-                    BinOp::Le => x <= y,
-                    _ => x >= y,
+                    BinOp::Lt => o.is_lt(),
+                    BinOp::Gt => o.is_gt(),
+                    BinOp::Le => o.is_le(),
+                    _ => o.is_ge(),
                 };
                 Value::bit(if r { Logic::One } else { Logic::Zero })
             }
-            _ => Value::bit(Logic::X),
+            None => Value::bit(Logic::X),
         },
-        BinOp::Add | BinOp::Sub | BinOp::Mul | BinOp::Div | BinOp::Mod => {
-            match (a.as_u64(), b.as_u64()) {
-                (Some(x), Some(y)) => {
-                    let r = match op {
-                        BinOp::Add => Some(x.wrapping_add(y)),
-                        BinOp::Sub => Some(x.wrapping_sub(y)),
-                        BinOp::Mul => Some(x.wrapping_mul(y)),
-                        BinOp::Div => x.checked_div(y),
-                        _ => x.checked_rem(y),
-                    };
-                    match r {
-                        Some(v) => Value::from_u64(v, w),
-                        None => Value::unknown(w),
-                    }
-                }
-                _ => Value::unknown(w),
+        BinOp::Add => a.add(b),
+        BinOp::Sub => a.sub(b),
+        BinOp::Shl => a.shl(b),
+        BinOp::Shr => a.shr(b),
+        BinOp::Mul | BinOp::Div | BinOp::Mod => {
+            // 64-bit only: wider operands give all-x.
+            let r = match (a.as_u64(), b.as_u64()) {
+                (Some(x), Some(y)) => match op {
+                    BinOp::Mul => Some(x.wrapping_mul(y)),
+                    BinOp::Div => x.checked_div(y),
+                    _ => x.checked_rem(y),
+                },
+                _ => None,
+            };
+            match r {
+                Some(v) => Value::from_u64(v, w),
+                None => Value::unknown(w),
             }
         }
-        BinOp::Shl | BinOp::Shr => match (a.as_u64(), b.as_u64()) {
-            (Some(x), Some(y)) if y < 64 => {
-                let v = if op == BinOp::Shl { x << y } else { x >> y };
-                Value::from_u64(v, w)
-            }
-            (Some(_), Some(_)) => Value::from_u64(0, w),
-            _ => Value::unknown(w),
-        },
     }
 }
-
-/// One recorded state change: `(signal, old, new)`.
-pub type Change = (SigId, Value, Value);
 
 /// A resolved non-blocking update.
 #[derive(Debug, Clone, PartialEq)]
@@ -136,114 +136,43 @@ pub struct NbaUpdate {
     pub value: Value,
 }
 
-/// Applies a value to a target, returning the change if the stored
-/// value differs.
+/// Writes `value` into `state[sig]` in place: the whole signal (resized
+/// to its width), or bit 0 of `value` into bit `rel` when `bit` is
+/// `Some(rel)`. The comparison against the stored value clones nothing,
+/// and a whole-signal value is moved in.
+///
+/// Returns bit 0 of the old and of the new contents — all that edge
+/// detection reads — when the stored value changed, and `None` when it
+/// did not (including an out-of-range bit write, which is a no-op).
 pub fn store(
     state: &mut [Value],
     defs: &[SignalDef],
     sig: SigId,
     bit: Option<i64>,
-    value: &Value,
-) -> Option<Change> {
-    let old = state[sig].clone();
-    let new = match bit {
-        None => value.resized(defs[sig].width),
+    value: Value,
+) -> Option<(Logic, Logic)> {
+    let slot = &mut state[sig];
+    let old0 = slot.get(0);
+    match bit {
+        None => {
+            let value = value.into_resized(defs[sig].width);
+            if *slot == value {
+                return None;
+            }
+            *slot = value;
+        }
         Some(rel) => {
             if rel < 0 || rel as usize >= defs[sig].width {
-                return None; // out-of-range bit write is a no-op
+                return None;
             }
-            let mut new = old.clone();
-            new.set_bit(rel as usize, value.get(0));
-            new
+            let b = value.get(0);
+            if slot.get(rel as usize) == b {
+                return None;
+            }
+            slot.set_bit(rel as usize, b);
         }
-    };
-    if new == old {
-        return None;
     }
-    state[sig] = new.clone();
-    Some((sig, old, new))
-}
-
-/// Executes a statement atomically. Blocking assignments update `state`
-/// immediately and append to `changes`; non-blocking assignments are
-/// resolved and appended to `nba`.
-pub fn exec(
-    stmt: &SStmt,
-    state: &mut Vec<Value>,
-    defs: &[SignalDef],
-    changes: &mut Vec<Change>,
-    nba: &mut Vec<NbaUpdate>,
-) {
-    match stmt {
-        SStmt::Block(items) => {
-            for s in items {
-                exec(s, state, defs, changes, nba);
-            }
-        }
-        SStmt::If {
-            cond,
-            then_s,
-            else_s,
-        } => match eval(cond, state, defs).truthy() {
-            Some(true) => exec(then_s, state, defs, changes, nba),
-            _ => {
-                if let Some(e) = else_s {
-                    exec(e, state, defs, changes, nba);
-                }
-            }
-        },
-        SStmt::Assign { lhs, rhs, blocking } => {
-            let value = eval(rhs, state, defs);
-            let bit = resolve_bit(lhs, state, defs);
-            if matches!(bit, Some(Err(()))) {
-                return; // unknown index: discard the write
-            }
-            let bit = bit.map(|b| b.expect("checked"));
-            if *blocking {
-                if let Some(change) = store(state, defs, lhs.sig, bit, &value) {
-                    changes.push(change);
-                }
-            } else {
-                nba.push(NbaUpdate {
-                    sig: lhs.sig,
-                    bit,
-                    value,
-                });
-            }
-        }
-        SStmt::Case {
-            subject,
-            arms,
-            default,
-        } => {
-            let sv = eval(subject, state, defs);
-            for (vals, body) in arms {
-                for v in vals {
-                    if sv.logic_eq(&eval(v, state, defs)) == Logic::One {
-                        exec(body, state, defs, changes, nba);
-                        return;
-                    }
-                }
-            }
-            if let Some(d) = default {
-                exec(d, state, defs, changes, nba);
-            }
-        }
-        SStmt::Nop => {}
-    }
-}
-
-/// Resolves an lvalue's bit select now (Verilog semantics: the index is
-/// evaluated at assignment time). `Some(Err(()))` means the index was
-/// unknown.
-#[allow(clippy::type_complexity)]
-fn resolve_bit(lhs: &LRef, state: &[Value], defs: &[SignalDef]) -> Option<Result<i64, ()>> {
-    let idx = lhs.index.as_ref()?;
-    let v = eval(idx, state, defs);
-    Some(match v.as_u64() {
-        Some(i) => Ok(i as i64 - defs[lhs.sig].lsb),
-        None => Err(()),
-    })
+    Some((old0, slot.get(0)))
 }
 
 #[cfg(test)]
@@ -330,46 +259,44 @@ mod tests {
     fn store_whole_and_bit() {
         let defs = defs2();
         let mut state = vec![Value::bit(Logic::Zero), Value::from_u64(0, 4)];
-        let ch = store(&mut state, &defs, 1, None, &Value::from_u64(0b101, 4)).unwrap();
-        assert_eq!(ch.2.as_u64(), Some(5));
+        // Whole write: reports bit 0 of the old and new contents.
+        let ch = store(&mut state, &defs, 1, None, Value::from_u64(0b101, 4));
+        assert_eq!(ch, Some((Logic::Zero, Logic::One)));
+        assert_eq!(state[1].as_u64(), Some(5));
         // Bit write.
-        let ch2 = store(&mut state, &defs, 1, Some(1), &Value::bit(Logic::One)).unwrap();
-        assert_eq!(ch2.2.as_u64(), Some(7));
+        let ch2 = store(&mut state, &defs, 1, Some(1), Value::bit(Logic::One));
+        assert_eq!(ch2, Some((Logic::One, Logic::One)));
+        assert_eq!(state[1].as_u64(), Some(7));
         // Same value: no change.
-        assert!(store(&mut state, &defs, 1, Some(1), &Value::bit(Logic::One)).is_none());
+        assert!(store(&mut state, &defs, 1, Some(1), Value::bit(Logic::One)).is_none());
+        assert!(store(&mut state, &defs, 1, None, Value::from_u64(7, 4)).is_none());
         // Out of range: no-op.
-        assert!(store(&mut state, &defs, 1, Some(9), &Value::bit(Logic::One)).is_none());
+        assert!(store(&mut state, &defs, 1, Some(9), Value::bit(Logic::One)).is_none());
+        assert!(store(&mut state, &defs, 1, Some(-1), Value::bit(Logic::Zero)).is_none());
+        assert_eq!(state[1].as_u64(), Some(7));
+        // A whole write is resized to the signal's width.
+        let ch3 = store(&mut state, &defs, 1, None, Value::from_u64(0b1_0010, 5));
+        assert_eq!(ch3, Some((Logic::One, Logic::Zero)));
+        assert_eq!(state[1], Value::from_u64(0b0010, 4));
     }
 
     #[test]
-    fn exec_blocking_vs_nonblocking() {
+    fn leaves_are_borrowed_and_sized_moves_owned_values() {
         let defs = defs2();
-        let mut state = vec![Value::bit(Logic::Zero), Value::from_u64(0, 4)];
-        let mut changes = Vec::new();
-        let mut nba = Vec::new();
-        let stmt = SStmt::Block(vec![
-            SStmt::Assign {
-                lhs: LRef {
-                    sig: 0,
-                    index: None,
-                },
-                rhs: SExpr::Const(Value::bit(Logic::One)),
-                blocking: true,
-            },
-            SStmt::Assign {
-                lhs: LRef {
-                    sig: 1,
-                    index: None,
-                },
-                rhs: SExpr::Const(Value::from_u64(9, 4)),
-                blocking: false,
-            },
-        ]);
-        exec(&stmt, &mut state, &defs, &mut changes, &mut nba);
-        assert_eq!(changes.len(), 1);
-        assert_eq!(state[0].get(0), Logic::One);
-        assert_eq!(state[1].as_u64(), Some(0), "nba not applied yet");
-        assert_eq!(nba.len(), 1);
+        let state = vec![Value::bit(Logic::One), Value::from_u64(0b1010, 4)];
+        assert!(matches!(
+            eval(&SExpr::Sig(1), &state, &defs),
+            Cow::Borrowed(_)
+        ));
+        let k = SExpr::Const(Value::from_u64(3, 4));
+        assert!(matches!(eval(&k, &state, &defs), Cow::Borrowed(_)));
+        let not = SExpr::Unary(UnOp::Not, Box::new(SExpr::Sig(1)));
+        assert!(matches!(eval(&not, &state, &defs), Cow::Owned(_)));
+        assert_eq!(sized(eval(&not, &state, &defs), 4).as_u64(), Some(0b0101));
+        assert_eq!(
+            sized(eval(&SExpr::Sig(1), &state, &defs), 2).as_u64(),
+            Some(0b10)
+        );
     }
 }
 
@@ -454,6 +381,48 @@ mod more_tests {
         let neg = SExpr::Unary(UnOp::Neg, Box::new(SExpr::Sig(0)));
         // -15 mod 2^4 = 1.
         assert_eq!(eval(&neg, &state, &defs).as_u64(), Some(1));
+    }
+
+    #[test]
+    fn wide_arithmetic_is_word_wise_on_known_operands() {
+        let defs = defs1(70);
+        let low_ones = Value::from_u64(u64::MAX, 70);
+        let state = vec![low_ones.clone()];
+        let run = |op, k: Value| {
+            let e = SExpr::Binary(op, Box::new(SExpr::Sig(0)), Box::new(SExpr::Const(k)));
+            eval(&e, &state, &defs).into_owned()
+        };
+        // The carry crosses into the second word.
+        let add = run(BinOp::Add, Value::from_u64(1, 64));
+        assert_eq!(add.width(), 70);
+        assert_eq!(add.get(64), Logic::One);
+        assert!((0..64).all(|i| add.get(i) == Logic::Zero));
+        let sub = run(BinOp::Sub, Value::from_u64(u64::MAX, 64));
+        assert_eq!(sub, Value::from_u64(0, 70));
+        let shl = run(BinOp::Shl, Value::from_u64(6, 4));
+        assert_eq!(shl.get(69), Logic::One);
+        assert_eq!(shl.get(5), Logic::Zero);
+        assert_eq!(
+            run(BinOp::Shr, Value::from_u64(63, 8)),
+            Value::from_u64(1, 70)
+        );
+        let neg = SExpr::Unary(UnOp::Neg, Box::new(SExpr::Sig(0)));
+        assert_eq!(
+            eval(&neg, &state, &defs).add(&low_ones),
+            Value::from_u64(0, 70)
+        );
+        for (op, want) in [
+            (BinOp::Lt, Logic::Zero),
+            (BinOp::Gt, Logic::One),
+            (BinOp::Le, Logic::Zero),
+            (BinOp::Ge, Logic::One),
+        ] {
+            assert_eq!(run(op, Value::from_u64(5, 64)).get(0), want);
+        }
+        // Multiplication, division and remainder stay 64-bit: x above.
+        for op in [BinOp::Mul, BinOp::Div, BinOp::Mod] {
+            assert_eq!(run(op, Value::from_u64(3, 64)), Value::unknown(70));
+        }
     }
 
     #[test]

@@ -17,10 +17,24 @@
 //! ([`crate::logic`]), activation dedup is a generation-stamped mark
 //! array instead of a `BTreeSet`, watcher lists are walked in place
 //! (never cloned), PLI dispatch borrows the callback list, and the NBA
-//! buffer is recycled across delta cycles. The circuit itself lives
-//! behind an [`Arc`], which also makes a [`Kernel`] `Send` — the basis
-//! for [`crate::race::sweep_parallel`]'s multi-threaded divergence
-//! sweeps.
+//! buffer is recycled across delta cycles.
+//!
+//! Above 64 bits, an activation allocates once per operator result
+//! that is wide (one `Box<[u64]>` each), plus one part list per
+//! concatenation; a committed wide change adds one copy, the waveform
+//! record's. Nothing else is copied: [`crate::eval::eval`] reads signal
+//! and constant operands in place, [`crate::eval::store`] compares the
+//! new value with the stored one by reference and moves it into the
+//! state, edge detection gets only bit 0 of the old and new values, and
+//! PLI callbacks read the new value from the state. (The waveform's
+//! change log grows by amortized doubling.)
+//!
+//! The circuit lives behind an [`Arc`], which also makes a [`Kernel`]
+//! `Send` — the basis for [`crate::race::sweep_parallel`]'s
+//! multi-threaded divergence sweeps. The kernel keeps its mutable run
+//! state in a separate struct, so activations borrow the circuit beside
+//! it and never touch the `Arc`: sweep threads sharing one circuit do
+//! not contend on its reference count.
 
 use std::collections::{BTreeMap, VecDeque};
 use std::fmt;
@@ -29,8 +43,8 @@ use std::sync::Arc;
 use hdl::ast::Edge;
 use obs::{NullRecorder, Recorder, Span};
 
-use crate::elab::{Circuit, Proc, SStmt, SigId};
-use crate::eval::{eval, store, Change, NbaUpdate};
+use crate::elab::{Circuit, LRef, Proc, SExpr, SStmt, SigId};
+use crate::eval::{eval, sized, store, NbaUpdate};
 use crate::logic::{Logic, Value};
 
 /// Pop order for simultaneous process activations.
@@ -206,6 +220,18 @@ const DEPTH_LIMIT: usize = 512;
 /// [`crate::race::sweep_parallel`] does.
 pub struct Kernel {
     circuit: Arc<Circuit>,
+    run: Run,
+    recorder: Arc<dyn Recorder>,
+    /// False while `recorder` is the [`NullRecorder`]: the hot `settle`
+    /// loop skips even the virtual dispatch, keeping the untraced
+    /// kernel's cost at zero.
+    traced: bool,
+}
+
+/// Everything a run mutates, kept apart from the circuit so that
+/// activations borrow the circuit beside it (`&Circuit` next to `&mut
+/// Run`) and never touch the shared [`Arc`]'s reference count.
+struct Run {
     policy: SchedulerPolicy,
     state: Vec<Value>,
     time: u64,
@@ -227,11 +253,6 @@ pub struct Kernel {
     steps: usize,
     depth: usize,
     pli: BTreeMap<SigId, Vec<crate::pli::PliCallback>>,
-    recorder: Arc<dyn Recorder>,
-    /// False while `recorder` is the [`NullRecorder`]: the hot `settle`
-    /// loop skips even the virtual dispatch, keeping the untraced
-    /// kernel's cost at zero.
-    traced: bool,
 }
 
 /// Per-slot activity tallied during one [`Kernel::settle`].
@@ -281,13 +302,12 @@ impl Kernel {
             .iter()
             .map(|s| Value::unknown(s.width))
             .collect();
-        let proc_count = circuit.procs.len();
-        let mut kernel = Kernel {
+        let mut run = Run {
             policy,
             state,
             time: 0,
             queue: VecDeque::new(),
-            queued_mark: vec![0; proc_count],
+            queued_mark: vec![0; circuit.procs.len()],
             queue_gen: 1,
             nba: Vec::new(),
             nba_scratch: Vec::new(),
@@ -297,21 +317,23 @@ impl Kernel {
             steps: 0,
             depth: 0,
             pli: BTreeMap::new(),
-            recorder: Arc::new(NullRecorder),
-            traced: false,
-            circuit,
         };
-        for pid in 0..kernel.circuit.procs.len() {
-            if matches!(kernel.circuit.procs[pid], Proc::Continuous { .. }) {
-                kernel.enqueue(pid);
+        for (pid, proc_) in circuit.procs.iter().enumerate() {
+            if matches!(proc_, Proc::Continuous { .. }) {
+                run.enqueue(pid);
             }
         }
-        kernel
+        Kernel {
+            circuit,
+            run,
+            recorder: Arc::new(NullRecorder),
+            traced: false,
+        }
     }
 
     /// The policy in use.
     pub fn policy(&self) -> SchedulerPolicy {
-        self.policy
+        self.run.policy
     }
 
     /// Routes kernel observability into `recorder`: `sim.settle` /
@@ -325,12 +347,12 @@ impl Kernel {
 
     /// Current simulation time.
     pub fn time(&self) -> u64 {
-        self.time
+        self.run.time
     }
 
     /// The recorded waveform.
     pub fn waveform(&self) -> &Waveform {
-        &self.waves
+        &self.run.waves
     }
 
     /// The circuit being simulated.
@@ -345,7 +367,7 @@ impl Kernel {
 
     /// Reads a signal's current value.
     pub fn peek(&self, sig: SigId) -> &Value {
-        &self.state[sig]
+        &self.run.state[sig]
     }
 
     /// Reads a signal by name.
@@ -375,8 +397,9 @@ impl Kernel {
     /// Drives a signal from outside (a testbench poke). Propagation
     /// happens on the next [`Kernel::run_until`] / [`Kernel::settle`].
     pub fn poke(&mut self, sig: SigId, value: Value) {
-        if let Some(change) = store(&mut self.state, &self.circuit.signals, sig, None, &value) {
-            self.commit_deferred(change);
+        let run = &mut self.run;
+        if let Some((old0, new0)) = store(&mut run.state, &self.circuit.signals, sig, None, value) {
+            run.commit_deferred(sig, old0, new0);
         }
     }
 
@@ -394,20 +417,106 @@ impl Kernel {
     /// Registers a PLI-style callback invoked on every committed change
     /// of `sig` (see [`crate::pli`]).
     pub fn on_change(&mut self, sig: SigId, callback: crate::pli::PliCallback) {
-        self.pli.entry(sig).or_default().push(callback);
+        self.run.pli.entry(sig).or_default().push(callback);
     }
 
-    /// Fires registered callbacks for a committed change. Borrows the
+    /// Processes the current time slot until no activity remains.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`SimError::Runaway`] when zero-delay activity exceeds
+    /// the step budget (combinational loop / oscillation).
+    pub fn settle(&mut self) -> Result<(), SimError> {
+        let mut stats = SlotStats::default();
+        if !self.traced {
+            return self.run.settle(&self.circuit, &mut stats);
+        }
+        let rec = Arc::clone(&self.recorder);
+        let span = Span::enter(rec.as_ref(), "sim.settle");
+        span.attr("time", self.run.time);
+        let result = self.run.settle(&self.circuit, &mut stats);
+        let activations = self.run.steps as u64;
+        rec.add_counter("sim.events", activations);
+        rec.add_counter("sim.delta_cycles", stats.delta_cycles);
+        rec.add_counter("sim.nba_updates", stats.nba_updates);
+        rec.record_value("sim.slot.activations", activations);
+        span.attr("activations", activations);
+        span.attr("delta_cycles", stats.delta_cycles);
+        if result.is_err() {
+            span.attr("runaway", true);
+        }
+        result
+    }
+
+    /// Advances simulation to `t_end`, applying initial-block stimuli
+    /// on the way and settling each touched time slot.
+    ///
+    /// # Errors
+    ///
+    /// Propagates [`SimError::Runaway`].
+    pub fn run_until(&mut self, t_end: u64) -> Result<(), SimError> {
+        if !self.traced {
+            return self.run_until_inner(t_end);
+        }
+        let rec = Arc::clone(&self.recorder);
+        let span = Span::enter(rec.as_ref(), "sim.run_until");
+        span.attr("policy", self.run.policy.name);
+        span.attr("t_start", self.run.time);
+        span.attr("t_end", t_end);
+        self.run_until_inner(t_end)
+    }
+
+    fn run_until_inner(&mut self, t_end: u64) -> Result<(), SimError> {
+        self.settle()?;
+        while let Some(at) = self
+            .stimulus_at(self.run.next_stim)
+            .filter(|&at| at <= t_end)
+        {
+            self.run.time = self.run.time.max(at);
+            while self.stimulus_at(self.run.next_stim) == Some(at) {
+                let idx = self.run.next_stim;
+                self.run.next_stim += 1;
+                self.run.steps = 0;
+                if self.traced {
+                    self.recorder.add_counter("sim.stimuli", 1);
+                }
+                self.run
+                    .exec_stmt(&self.circuit.stimuli[idx].body, &self.circuit)?;
+            }
+            self.settle()?;
+        }
+        self.run.time = self.run.time.max(t_end);
+        Ok(())
+    }
+
+    /// Activation time of initial-block stimulus `idx`, if there is one.
+    fn stimulus_at(&self, idx: usize) -> Option<u64> {
+        self.circuit.stimuli.get(idx).map(|s| s.at)
+    }
+}
+
+impl Run {
+    /// Fires registered callbacks for a committed change of `sig`,
+    /// which read the new value in place from `state`. Borrows the
     /// callback list in place — no per-commit clone of the vector.
-    fn fire_pli(&self, sig: SigId, new: &Value) {
+    fn fire_pli(&self, sig: SigId) {
         if self.pli.is_empty() {
             return;
         }
         if let Some(cbs) = self.pli.get(&sig) {
             for cb in cbs {
-                (cb.lock().expect("pli callback poisoned"))(self.time, new);
+                (cb.lock().expect("pli callback poisoned"))(self.time, &self.state[sig]);
             }
         }
+    }
+
+    /// Publishes a committed change of `sig`: PLI callbacks, then the
+    /// waveform record (the one copy of the new value a commit makes).
+    fn publish(&mut self, sig: SigId) {
+        self.fire_pli(sig);
+        self.waves
+            .changes
+            .push((self.time, sig, self.state[sig].clone()));
     }
 
     fn enqueue(&mut self, pid: usize) {
@@ -429,17 +538,16 @@ impl Kernel {
     }
 
     /// Commit used from outside process execution (pokes): watchers are
-    /// queued, never run inline.
-    fn commit_deferred(&mut self, change: Change) {
-        let (sig, old, new) = change;
-        self.fire_pli(sig, &new);
-        self.waves.changes.push((self.time, sig, new.clone()));
+    /// queued, never run inline. `old0`/`new0` are bit 0 of the old and
+    /// new value, as [`store`] reports them.
+    fn commit_deferred(&mut self, sig: SigId, old0: Logic, new0: Logic) {
+        self.publish(sig);
         // Index loop: watcher lists are immutable after construction,
         // and re-borrowing per iteration lets `enqueue` take `&mut
         // self` without cloning the list.
         for i in 0..self.watchers[sig].len() {
             let (edge, pid) = self.watchers[sig][i];
-            if edge_fires(edge, &old, &new) {
+            if edge_fires(edge, old0, new0) {
                 self.enqueue(pid);
             }
         }
@@ -448,19 +556,22 @@ impl Kernel {
     /// Commit used during process execution: under an eager policy,
     /// triggered continuous assignments run immediately (recursively);
     /// everything else is queued.
-    fn commit_now(&mut self, change: Change) -> Result<(), SimError> {
-        let (sig, old, new) = change;
-        self.fire_pli(sig, &new);
-        self.waves.changes.push((self.time, sig, new.clone()));
+    fn commit_now(
+        &mut self,
+        circuit: &Circuit,
+        sig: SigId,
+        old0: Logic,
+        new0: Logic,
+    ) -> Result<(), SimError> {
+        self.publish(sig);
         for i in 0..self.watchers[sig].len() {
             let (edge, pid) = self.watchers[sig][i];
-            if !edge_fires(edge, &old, &new) {
+            if !edge_fires(edge, old0, new0) {
                 continue;
             }
-            if self.policy.eager_continuous
-                && matches!(self.circuit.procs[pid], Proc::Continuous { .. })
+            if self.policy.eager_continuous && matches!(circuit.procs[pid], Proc::Continuous { .. })
             {
-                self.run_proc(pid)?;
+                self.run_proc(circuit, pid)?;
             } else {
                 self.enqueue(pid);
             }
@@ -468,7 +579,7 @@ impl Kernel {
         Ok(())
     }
 
-    fn run_proc(&mut self, pid: usize) -> Result<(), SimError> {
+    fn run_proc(&mut self, circuit: &Circuit, pid: usize) -> Result<(), SimError> {
         self.steps += 1;
         if self.steps > SLOT_STEP_LIMIT {
             return Err(SimError::Runaway { time: self.time });
@@ -478,29 +589,35 @@ impl Kernel {
             self.depth -= 1;
             return Err(SimError::Runaway { time: self.time });
         }
-        let circuit = Arc::clone(&self.circuit);
         let result = match &circuit.procs[pid] {
-            Proc::Continuous { lhs, rhs } => {
-                let value = eval(rhs, &self.state, &circuit.signals);
-                let bit = match &lhs.index {
-                    Some(i) => match eval(i, &self.state, &circuit.signals).as_u64() {
-                        Some(v) => Some(v as i64 - circuit.signals[lhs.sig].lsb),
-                        None => {
-                            self.depth -= 1;
-                            return Ok(()); // unknown index: no drive
-                        }
-                    },
-                    None => None,
-                };
-                match store(&mut self.state, &circuit.signals, lhs.sig, bit, &value) {
-                    Some(change) => self.commit_now(change),
-                    None => Ok(()),
+            Proc::Continuous { lhs, rhs } => match self.resolve(circuit, lhs, rhs) {
+                Some((bit, value)) => {
+                    match store(&mut self.state, &circuit.signals, lhs.sig, bit, value) {
+                        Some((old0, new0)) => self.commit_now(circuit, lhs.sig, old0, new0),
+                        None => Ok(()),
+                    }
                 }
-            }
-            Proc::Always { body, .. } => self.exec_stmt(body, &circuit),
+                None => Ok(()), // unknown index: no drive
+            },
+            Proc::Always { body, .. } => self.exec_stmt(body, circuit),
         };
         self.depth -= 1;
         result
+    }
+
+    /// Evaluates an assignment's index (Verilog: at assignment time) and
+    /// right-hand side. The value comes back at the width the write
+    /// needs — the signal's, or one bit for a bit select — so a whole
+    /// owned result moves on to [`store`] without a copy. `None` when
+    /// the index is unknown.
+    fn resolve(&self, circuit: &Circuit, lhs: &LRef, rhs: &SExpr) -> Option<(Option<i64>, Value)> {
+        let def = &circuit.signals[lhs.sig];
+        let bit = match &lhs.index {
+            Some(i) => Some(eval(i, &self.state, &circuit.signals).as_u64()? as i64 - def.lsb),
+            None => None,
+        };
+        let width = if bit.is_some() { 1 } else { def.width };
+        Some((bit, sized(eval(rhs, &self.state, &circuit.signals), width)))
     }
 
     /// Statement execution with *live* commits: each blocking store
@@ -527,19 +644,14 @@ impl Kernel {
                 },
             },
             SStmt::Assign { lhs, rhs, blocking } => {
-                let value = eval(rhs, &self.state, &circuit.signals);
-                let bit = match &lhs.index {
-                    Some(i) => match eval(i, &self.state, &circuit.signals).as_u64() {
-                        Some(v) => Some(v as i64 - circuit.signals[lhs.sig].lsb),
-                        None => return Ok(()), // unknown index: discard
-                    },
-                    None => None,
+                let Some((bit, value)) = self.resolve(circuit, lhs, rhs) else {
+                    return Ok(()); // unknown index: discard
                 };
                 if *blocking {
-                    if let Some(change) =
-                        store(&mut self.state, &circuit.signals, lhs.sig, bit, &value)
+                    if let Some((old0, new0)) =
+                        store(&mut self.state, &circuit.signals, lhs.sig, bit, value)
                     {
-                        self.commit_now(change)?;
+                        self.commit_now(circuit, lhs.sig, old0, new0)?;
                     }
                 } else {
                     self.nba.push(NbaUpdate {
@@ -572,39 +684,12 @@ impl Kernel {
         }
     }
 
-    /// Processes the current time slot until no activity remains.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`SimError::Runaway`] when zero-delay activity exceeds
-    /// the step budget (combinational loop / oscillation).
-    pub fn settle(&mut self) -> Result<(), SimError> {
-        let mut stats = SlotStats::default();
-        if !self.traced {
-            return self.settle_inner(&mut stats);
-        }
-        let rec = Arc::clone(&self.recorder);
-        let span = Span::enter(rec.as_ref(), "sim.settle");
-        span.attr("time", self.time);
-        let result = self.settle_inner(&mut stats);
-        let activations = self.steps as u64;
-        rec.add_counter("sim.events", activations);
-        rec.add_counter("sim.delta_cycles", stats.delta_cycles);
-        rec.add_counter("sim.nba_updates", stats.nba_updates);
-        rec.record_value("sim.slot.activations", activations);
-        span.attr("activations", activations);
-        span.attr("delta_cycles", stats.delta_cycles);
-        if result.is_err() {
-            span.attr("runaway", true);
-        }
-        result
-    }
-
-    fn settle_inner(&mut self, stats: &mut SlotStats) -> Result<(), SimError> {
+    /// Drains the current time slot: the body of [`Kernel::settle`].
+    fn settle(&mut self, circuit: &Circuit, stats: &mut SlotStats) -> Result<(), SimError> {
         self.steps = 0;
         loop {
             while let Some(pid) = self.pop() {
-                self.run_proc(pid)?;
+                self.run_proc(circuit, pid)?;
             }
             if self.nba.is_empty() {
                 // Slot drained: advance the generation (stays odd) so
@@ -621,66 +706,20 @@ impl Kernel {
             self.nba.clear();
             stats.nba_updates += updates.len() as u64;
             for u in updates.drain(..) {
-                if let Some(change) = store(
-                    &mut self.state,
-                    &self.circuit.signals,
-                    u.sig,
-                    u.bit,
-                    &u.value,
-                ) {
+                if let Some((old0, new0)) =
+                    store(&mut self.state, &circuit.signals, u.sig, u.bit, u.value)
+                {
                     // NBA commits queue watchers like any other event.
-                    self.commit_now(change)?;
+                    self.commit_now(circuit, u.sig, old0, new0)?;
                 }
             }
             self.nba_scratch = updates;
         }
     }
-
-    /// Advances simulation to `t_end`, applying initial-block stimuli
-    /// on the way and settling each touched time slot.
-    ///
-    /// # Errors
-    ///
-    /// Propagates [`SimError::Runaway`].
-    pub fn run_until(&mut self, t_end: u64) -> Result<(), SimError> {
-        if !self.traced {
-            return self.run_until_inner(t_end);
-        }
-        let rec = Arc::clone(&self.recorder);
-        let span = Span::enter(rec.as_ref(), "sim.run_until");
-        span.attr("policy", self.policy.name);
-        span.attr("t_start", self.time);
-        span.attr("t_end", t_end);
-        self.run_until_inner(t_end)
-    }
-
-    fn run_until_inner(&mut self, t_end: u64) -> Result<(), SimError> {
-        self.settle()?;
-        while self.next_stim < self.circuit.stimuli.len()
-            && self.circuit.stimuli[self.next_stim].at <= t_end
-        {
-            let at = self.circuit.stimuli[self.next_stim].at;
-            self.time = self.time.max(at);
-            let circuit = Arc::clone(&self.circuit);
-            while self.next_stim < circuit.stimuli.len() && circuit.stimuli[self.next_stim].at == at
-            {
-                let idx = self.next_stim;
-                self.next_stim += 1;
-                self.steps = 0;
-                if self.traced {
-                    self.recorder.add_counter("sim.stimuli", 1);
-                }
-                self.exec_stmt(&circuit.stimuli[idx].body, &circuit)?;
-            }
-            self.settle()?;
-        }
-        self.time = self.time.max(t_end);
-        Ok(())
-    }
 }
 
-fn edge_fires(edge: Edge, old: &Value, new: &Value) -> bool {
-    let (o, n) = (old.get(0), new.get(0));
+/// Whether a change with bit 0 going `o` → `n` triggers `edge`.
+fn edge_fires(edge: Edge, o: Logic, n: Logic) -> bool {
     match edge {
         Edge::Any => true,
         Edge::Pos => n == Logic::One && o != Logic::One,
@@ -953,6 +992,42 @@ mod tests {
         assert!(!settles.is_empty());
         for s in &settles {
             assert_eq!(s.parent, Some(run.id));
+        }
+    }
+
+    #[test]
+    fn wide_counters_and_shifters_stay_known() {
+        let src = r#"
+            module w(input clk, input d, output reg [69:0] cnt, output reg [69:0] sh,
+                     output reg lt, output reg [69:0] top);
+              initial begin
+                cnt = 0;
+                sh = 1;
+                lt = 0;
+                top = 70'hffffffffffffffff;
+              end
+              always @(posedge clk) begin
+                cnt <= cnt + 1;
+                sh <= sh << 1;
+                lt <= cnt < 5;
+                top <= top + 1;
+              end
+            endmodule
+        "#;
+        for policy in SchedulerPolicy::all() {
+            let mut k = kernel(src, "w", policy);
+            crate::race::clocked_testbench(&mut k, 66).unwrap();
+            let cnt = k.peek_name("cnt").unwrap();
+            assert_eq!(cnt, &Value::from_u64(66, 70), "{}", policy.name);
+            let sh = k.peek_name("sh").unwrap();
+            assert!(!sh.has_unknown());
+            assert_eq!(sh.get(66), Logic::One);
+            assert_eq!(sh.iter_bits().filter(|b| *b == Logic::One).count(), 1);
+            assert_eq!(k.peek_name("lt").unwrap().get(0), Logic::Zero);
+            // 2^64 - 1 + 66 carries into bit 64.
+            let top = k.peek_name("top").unwrap();
+            assert_eq!(top.get(64), Logic::One);
+            assert_eq!(top.resized(64).as_u64(), Some(65));
         }
     }
 

@@ -27,6 +27,16 @@
 //! 64-bit vector is a handful of `u64` ops instead of 64 `match`
 //! dispatches.
 //!
+//! ## What allocates
+//!
+//! Nothing at 64 bits or below. Above 64 bits, each new value costs
+//! exactly one allocation: the constructors ([`Value::unknown`],
+//! [`Value::from_u64`], ...), the gate ops, [`Value::resized`],
+//! [`Value::concat_msb`] and the word-wise arithmetic all write their
+//! result straight into one `Box<[u64]>` of `2n` words with the top
+//! word masked. [`Value::into_resized`] moves a value of the right
+//! width through without copying it. Reading operands never allocates.
+//!
 //! The original per-bit implementation is retained in [`mod@reference`] and
 //! can be forced for a thread with [`reference::force`]; kernel-level
 //! tests pin the packed path by demanding byte-identical waveforms
@@ -203,34 +213,36 @@ impl Value {
         }
     }
 
-    /// Builds a wide value from per-word planes (masked here).
-    fn from_planes_wide(width: usize, mut val: Vec<u64>, mut unk: Vec<u64>) -> Value {
-        debug_assert!(width > 64);
+    /// Builds a value word by word: `word(i)` yields the `(val, unk)`
+    /// pair of word `i`, called once per word in ascending order (so it
+    /// may carry state, e.g. an adder's carry). Wide results go straight
+    /// into one `Box<[u64]>` of `2n` words — one allocation, no
+    /// intermediate `Vec`s — and the top word is masked here.
+    #[inline]
+    fn from_word_fn(width: usize, mut word: impl FnMut(usize) -> (u64, u64)) -> Value {
+        assert!(width > 0, "zero-width value");
+        if width <= 64 {
+            let (v, u) = word(0);
+            return Value::from_planes_small(width, v, u);
+        }
         let n = word_count(width);
-        val.resize(n, 0);
-        unk.resize(n, 0);
+        let mut words = vec![0u64; 2 * n].into_boxed_slice();
+        let (val, unk) = words.split_at_mut(n);
+        for (i, (v, u)) in val.iter_mut().zip(unk.iter_mut()).enumerate() {
+            (*v, *u) = word(i);
+        }
         let m = top_mask(width);
         val[n - 1] &= m;
         unk[n - 1] &= m;
-        val.extend_from_slice(&unk);
         Value {
             width: width as u32,
-            repr: Repr::Wide(val.into_boxed_slice()),
+            repr: Repr::Wide(words),
         }
     }
 
     /// All-zero planes of the given width.
     fn zeros(width: usize) -> Value {
-        assert!(width > 0, "zero-width value");
-        if width <= 64 {
-            Value::from_planes_small(width, 0, 0)
-        } else {
-            Value::from_planes_wide(
-                width,
-                vec![0; word_count(width)],
-                vec![0; word_count(width)],
-            )
-        }
+        Value::from_word_fn(width, |_| (0, 0))
     }
 
     /// Word `i` of the val plane (zero beyond storage).
@@ -272,37 +284,17 @@ impl Value {
     ///
     /// Panics if `width` is zero.
     pub fn unknown(width: usize) -> Value {
-        assert!(width > 0, "zero-width value");
-        if width <= 64 {
-            Value::from_planes_small(width, 0, u64::MAX)
-        } else {
-            let n = word_count(width);
-            Value::from_planes_wide(width, vec![0; n], vec![u64::MAX; n])
-        }
+        Value::from_word_fn(width, |_| (0, u64::MAX))
     }
 
     /// All-Z value of the given width.
     pub fn high_z(width: usize) -> Value {
-        assert!(width > 0, "zero-width value");
-        if width <= 64 {
-            Value::from_planes_small(width, u64::MAX, u64::MAX)
-        } else {
-            let n = word_count(width);
-            Value::from_planes_wide(width, vec![u64::MAX; n], vec![u64::MAX; n])
-        }
+        Value::from_word_fn(width, |_| (u64::MAX, u64::MAX))
     }
 
     /// From an unsigned integer, truncated/zero-extended to `width`.
     pub fn from_u64(v: u64, width: usize) -> Value {
-        assert!(width > 0, "zero-width value");
-        if width <= 64 {
-            Value::from_planes_small(width, v, 0)
-        } else {
-            let n = word_count(width);
-            let mut val = vec![0; n];
-            val[0] = v;
-            Value::from_planes_wide(width, val, vec![0; n])
-        }
+        Value::from_word_fn(width, |i| (if i == 0 { v } else { 0 }, 0))
     }
 
     /// A single-bit value.
@@ -388,17 +380,19 @@ impl Value {
 
     /// Returns a copy resized to `width` (zero-extended — or truncated).
     pub fn resized(&self, width: usize) -> Value {
-        assert!(width > 0, "zero-width value");
         if width == self.width() {
             return self.clone();
         }
-        if width <= 64 {
-            Value::from_planes_small(width, self.val_word(0), self.unk_word(0))
+        Value::from_word_fn(width, |i| (self.val_word(i), self.unk_word(i)))
+    }
+
+    /// [`Value::resized`] for an owned value: moves it through untouched
+    /// when the width already matches, so no copy is made.
+    pub fn into_resized(self, width: usize) -> Value {
+        if width == self.width() {
+            self
         } else {
-            let n = word_count(width);
-            let val: Vec<u64> = (0..n).map(|i| self.val_word(i)).collect();
-            let unk: Vec<u64> = (0..n).map(|i| self.unk_word(i)).collect();
-            Value::from_planes_wide(width, val, unk)
+            self.resized(width)
         }
     }
 
@@ -444,30 +438,14 @@ impl Value {
     #[inline]
     fn bitwise(&self, other: &Value, f: impl Fn(u64, u64, u64, u64) -> (u64, u64)) -> Value {
         let w = self.width().max(other.width());
-        if w <= 64 {
-            let (v, u) = f(
-                self.val_word(0),
-                self.unk_word(0),
-                other.val_word(0),
-                other.unk_word(0),
-            );
-            Value::from_planes_small(w, v, u)
-        } else {
-            let n = word_count(w);
-            let mut val = Vec::with_capacity(n);
-            let mut unk = Vec::with_capacity(n);
-            for i in 0..n {
-                let (v, u) = f(
-                    self.val_word(i),
-                    self.unk_word(i),
-                    other.val_word(i),
-                    other.unk_word(i),
-                );
-                val.push(v);
-                unk.push(u);
-            }
-            Value::from_planes_wide(w, val, unk)
-        }
+        Value::from_word_fn(w, |i| {
+            f(
+                self.val_word(i),
+                self.unk_word(i),
+                other.val_word(i),
+                other.unk_word(i),
+            )
+        })
     }
 
     /// Bitwise AND (widths zero-extended to match).
@@ -513,18 +491,10 @@ impl Value {
         if reference::active() {
             return Value::from_bits(&self.to_bits().iter().map(|b| b.not()).collect::<Vec<_>>());
         }
-        let w = self.width();
-        if w <= 64 {
-            let (v, u) = (self.val_word(0), self.unk_word(0));
-            Value::from_planes_small(w, !v & !u, u)
-        } else {
-            let n = word_count(w);
-            let val: Vec<u64> = (0..n)
-                .map(|i| !self.val_word(i) & !self.unk_word(i))
-                .collect();
-            let unk: Vec<u64> = (0..n).map(|i| self.unk_word(i)).collect();
-            Value::from_planes_wide(w, val, unk)
-        }
+        Value::from_word_fn(self.width(), |i| {
+            let (v, u) = (self.val_word(i), self.unk_word(i));
+            (!v & !u, u)
+        })
     }
 
     /// Case/logic equality returning a 1-bit value: `1` when equal, `0`
@@ -603,20 +573,135 @@ impl Value {
         })
     }
 
+    /// Applies a word-wise arithmetic op to fully known operands,
+    /// zero-extended to the wider width and truncated to it. `f` sees
+    /// the val words in ascending order, so it may carry state. Any x
+    /// or z bit in either operand makes the whole result x.
+    fn arith(&self, other: &Value, mut f: impl FnMut(u64, u64) -> u64) -> Value {
+        let w = self.width().max(other.width());
+        if self.has_unknown() || other.has_unknown() {
+            return Value::unknown(w);
+        }
+        Value::from_word_fn(w, |i| (f(self.val_word(i), other.val_word(i)), 0))
+    }
+
+    /// Addition modulo 2^w, `w` the wider operand's width (Verilog's
+    /// truncation); all-x when any operand bit is x or z.
+    pub fn add(&self, other: &Value) -> Value {
+        let mut carry = false;
+        self.arith(other, |a, b| {
+            let (s, c1) = a.overflowing_add(b);
+            let (s, c2) = s.overflowing_add(carry as u64);
+            carry = c1 | c2;
+            s
+        })
+    }
+
+    /// Subtraction modulo 2^w (`a + !b + 1`), `w` as for
+    /// [`Value::add`]; all-x when any operand bit is x or z.
+    pub fn sub(&self, other: &Value) -> Value {
+        let mut carry = true;
+        self.arith(other, |a, b| {
+            let (s, c1) = a.overflowing_add(!b);
+            let (s, c2) = s.overflowing_add(carry as u64);
+            carry = c1 | c2;
+            s
+        })
+    }
+
+    /// Two's-complement negation at this value's width; all-x when any
+    /// bit is x or z.
+    pub fn neg(&self) -> Value {
+        Value::from_u64(0, self.width()).sub(self)
+    }
+
+    /// The value of a fully known shift amount, saturated to
+    /// `usize::MAX` when it does not fit.
+    fn shift_amount(&self) -> usize {
+        let n = word_count(self.width());
+        if (1..n).any(|i| self.val_word(i) != 0) {
+            return usize::MAX;
+        }
+        usize::try_from(self.val_word(0)).unwrap_or(usize::MAX)
+    }
+
+    /// Shifts by a fully known `amount` at width `w = max(widths)`;
+    /// `left` picks the direction. Vacated bits fill with zero, and an
+    /// x or z anywhere in either operand makes the result all-x.
+    fn shift(&self, amount: &Value, left: bool) -> Value {
+        let w = self.width().max(amount.width());
+        if self.has_unknown() || amount.has_unknown() {
+            return Value::unknown(w);
+        }
+        let s = amount.shift_amount();
+        if s >= w {
+            return Value::zeros(w);
+        }
+        let (ws, bs) = (s / 64, s % 64);
+        // Source word `i - k` (left) or `i + k` (right); words outside
+        // the operand read as zero.
+        let src = |i: usize, k: usize| -> u64 {
+            if left {
+                i.checked_sub(k).map_or(0, |j| self.val_word(j))
+            } else {
+                self.val_word(i + k)
+            }
+        };
+        Value::from_word_fn(w, |i| {
+            // The source word and its neighbour on the far side of the
+            // shift, joined so one u128 shift moves bits across the seam.
+            let (near, far) = (src(i, ws), src(i, ws + 1));
+            let word = if left {
+                (((u128::from(near) << 64) | u128::from(far)) << bs >> 64) as u64
+            } else {
+                (((u128::from(far) << 64) | u128::from(near)) >> bs) as u64
+            };
+            (word, 0)
+        })
+    }
+
+    /// Logical left shift by `amount`, at the wider operand's width.
+    pub fn shl(&self, amount: &Value) -> Value {
+        self.shift(amount, true)
+    }
+
+    /// Logical right shift by `amount`, at the wider operand's width.
+    pub fn shr(&self, amount: &Value) -> Value {
+        self.shift(amount, false)
+    }
+
+    /// Unsigned comparison of zero-extended operands; `None` when any
+    /// bit of either is x or z.
+    pub fn cmp_known(&self, other: &Value) -> Option<std::cmp::Ordering> {
+        if self.has_unknown() || other.has_unknown() {
+            return None;
+        }
+        let n = word_count(self.width().max(other.width()));
+        Some(
+            (0..n)
+                .rev()
+                .map(|i| self.val_word(i).cmp(&other.val_word(i)))
+                .find(|o| o.is_ne())
+                .unwrap_or(std::cmp::Ordering::Equal),
+        )
+    }
+
     /// Concatenation, MSB-first operand order (the first item occupies
-    /// the top bits), matching Verilog `{a, b}`.
+    /// the top bits), matching Verilog `{a, b}`. Items are read by
+    /// reference (`&Value`, or a `Cow` from the evaluator).
     ///
     /// # Panics
     ///
     /// Panics if `items` is empty.
-    pub fn concat_msb(items: &[&Value]) -> Value {
-        let width: usize = items.iter().map(|v| v.width()).sum();
+    pub fn concat_msb<V: AsRef<Value>>(items: &[V]) -> Value {
+        let width: usize = items.iter().map(|v| v.as_ref().width()).sum();
         assert!(width > 0, "zero-width concatenation");
         let mut out = Value::zeros(width);
         // Walk from the last operand (lowest bits) upward, OR-ing each
         // operand's words in at its bit offset.
         let mut offset = 0usize;
         for item in items.iter().rev() {
+            let item = item.as_ref();
             out.blit(item, offset);
             offset += item.width();
         }
@@ -668,6 +753,12 @@ impl Value {
             .rev()
             .map(|i| self.get(i).to_char())
             .collect()
+    }
+}
+
+impl AsRef<Value> for Value {
+    fn as_ref(&self) -> &Value {
+        self
     }
 }
 
@@ -1023,6 +1114,126 @@ mod tests {
         drop(guard);
         assert_eq!(packed, per_bit);
         assert!(!reference::active(), "guard restored the packed path");
+    }
+
+    /// Test helpers: a fully known value from / to a `u128`.
+    fn v128(x: u128, w: usize) -> Value {
+        let bits: Vec<Logic> = (0..w)
+            .map(|i| {
+                if (x >> i) & 1 == 1 {
+                    Logic::One
+                } else {
+                    Logic::Zero
+                }
+            })
+            .collect();
+        Value::from_bits(&bits)
+    }
+
+    fn mask128(w: usize) -> u128 {
+        if w >= 128 {
+            u128::MAX
+        } else {
+            (1u128 << w) - 1
+        }
+    }
+
+    #[test]
+    fn wide_arithmetic_matches_u128() {
+        let m70 = mask128(70);
+        let cases: [(usize, u128, u128); 8] = [
+            (70, 0, 1),
+            (70, m70, 1),                // wraps to zero
+            (70, u64::MAX as u128, 1),   // carry across the word boundary
+            (128, u128::MAX, u128::MAX), // carry out of the top word
+            (100, 5, 7),                 // borrow through every word
+            (65, 1 << 64, 3),
+            (128, 1 << 64, 1), // borrow across the word boundary
+            (
+                128,
+                0x1234_5678_9abc_def0_0fed_cba9_8765_4321,
+                0xffff_0000_ffff_0000_1111,
+            ),
+        ];
+        for (w, a, b) in cases {
+            let (va, vb) = (v128(a, w), v128(b, w));
+            let m = mask128(w);
+            assert_eq!(
+                va.add(&vb),
+                v128(a.wrapping_add(b) & m, w),
+                "{a:#x} + {b:#x} @{w}"
+            );
+            assert_eq!(
+                va.sub(&vb),
+                v128(a.wrapping_sub(b) & m, w),
+                "{a:#x} - {b:#x} @{w}"
+            );
+            assert_eq!(va.neg(), v128(a.wrapping_neg() & m, w), "-{a:#x} @{w}");
+            assert_eq!(va.cmp_known(&vb), Some(a.cmp(&b)), "{a:#x} <=> {b:#x} @{w}");
+        }
+        // Operands of different widths zero-extend to the wider one.
+        let narrow = Value::from_u64(1, 3);
+        assert_eq!(v128(m70, 70).add(&narrow), Value::from_u64(0, 70));
+        assert_eq!(narrow.sub(&v128(2, 70)), v128(m70, 70));
+        assert_eq!(
+            narrow.cmp_known(&v128(1 << 66, 70)),
+            Some(std::cmp::Ordering::Less)
+        );
+    }
+
+    #[test]
+    fn wide_shifts_match_u128() {
+        let x = 0x8000_0000_0000_0001_c000_0000_0000_0003u128;
+        for w in [70usize, 128] {
+            let v = v128(x & mask128(w), w);
+            for s in [0usize, 1, 5, 63, 64, 65, 69, 70, 127, 128, 200] {
+                let amount = Value::from_u64(s as u64, 8);
+                let (l, r) = if s >= w {
+                    (0, 0)
+                } else {
+                    ((x << s) & mask128(w), (x & mask128(w)) >> s)
+                };
+                assert_eq!(v.shl(&amount), v128(l, w), "{x:#x} << {s} @{w}");
+                assert_eq!(v.shr(&amount), v128(r, w), "{x:#x} >> {s} @{w}");
+            }
+        }
+        // A shift amount wider than one word that does not fit shifts
+        // everything out.
+        let huge = v128(1 << 64, 70);
+        assert_eq!(Value::from_u64(1, 8).shl(&huge), Value::from_u64(0, 70));
+    }
+
+    #[test]
+    fn wide_arithmetic_on_unknowns_is_all_x() {
+        let mut a = v128(7, 70);
+        a.set_bit(68, Logic::Z);
+        let b = v128(1, 70);
+        for r in [a.add(&b), b.sub(&a), a.neg(), a.shl(&b), b.shr(&a)] {
+            assert_eq!(r, Value::unknown(70));
+        }
+        assert_eq!(a.cmp_known(&b), None);
+        assert_eq!(b.cmp_known(&a), None);
+    }
+
+    #[test]
+    fn one_allocation_constructors_are_canonical() {
+        // Every wide constructor masks the top word, so equality and
+        // hashing stay semantic whichever path built the value.
+        for w in [65usize, 70, 128, 140, 280] {
+            let via_bits = Value::from_bits(&vec![Logic::X; w]);
+            assert_eq!(Value::unknown(w), via_bits, "unknown @{w}");
+            assert_eq!(Value::high_z(w), Value::from_bits(&vec![Logic::Z; w]));
+            assert_eq!(
+                Value::from_u64(0, w).not(),
+                Value::from_bits(&vec![Logic::One; w])
+            );
+            assert_eq!(
+                Value::unknown(w).resized(w + 3).resized(w),
+                Value::unknown(w)
+            );
+            assert_eq!(Value::high_z(w).into_resized(64), Value::high_z(64));
+            assert_eq!(Value::high_z(w).into_resized(w), Value::high_z(w));
+        }
     }
 
     #[test]

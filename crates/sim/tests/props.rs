@@ -247,8 +247,12 @@ mod waveform_identity {
 
     /// Renders a random combinational network as Verilog: `gates[i]`
     /// defines wire `wi` as a unary/binary op over earlier signals,
-    /// then a 70-bit concat bus with wide ops exercises the spilled
-    /// representation, and a clocked register closes the loop.
+    /// then a 70-bit concat bus and 140/280-bit buses built from it run
+    /// wide ops through the spilled representation at one, three and
+    /// five words, reductions and bit-select continuous drivers bring
+    /// them back to scalars, a blocking-assign `always` block writes
+    /// through a moving bit-select lvalue, and a clocked register
+    /// closes the loop.
     fn random_src(gates: &[(u8, u8, u8)]) -> String {
         let mut pool = vec!["d".to_string()];
         let mut body = String::new();
@@ -272,11 +276,38 @@ mod waveform_identity {
         body.push_str(&format!("  assign bus = {{{}}};\n", terms.join(", ")));
         body.push_str("  assign busn = ~bus;\n");
         body.push_str("  assign busm = bus ^ busn;\n");
+        // 140- and 280-bit ops: three and five words per plane.
+        decls.push_str(
+            "  wire [139:0] wide;\n  wire [139:0] widen;\n  wire [139:0] widem;\n\
+             \x20 wire [279:0] huge;\n  wire [279:0] hugen;\n  wire [279:0] hugem;\n\
+             \x20 wire [3:0] flags;\n",
+        );
+        body.push_str(
+            "  assign wide = {busm, bus};\n\
+             \x20 assign widen = ~wide;\n\
+             \x20 assign widem = (wide & widen) | (wide ^ {busn, busm});\n\
+             \x20 assign huge = {widem, widen};\n\
+             \x20 assign hugen = ~huge;\n\
+             \x20 assign hugem = (huge | {wide, busn, bus}) ^ hugen;\n\
+             \x20 assign flags[0] = &hugem;\n\
+             \x20 assign flags[1] = |widem;\n\
+             \x20 assign flags[3] = hugen[7] ? flags[0] : flags[1];\n",
+        );
         let last = pool.last().unwrap();
         format!(
-            "module r(input clk, input d, output reg q);\n{decls}{body}\
-             \x20 initial q = 0;\n\
+            "module r(input clk, input d, output reg q, output reg [7:0] bits);\n\
+             {decls}  reg [2:0] k;\n{body}\
+             \x20 initial begin\n\
+             \x20   q = 0;\n\
+             \x20   bits = 0;\n\
+             \x20   k = 0;\n\
+             \x20 end\n\
              \x20 always @(posedge clk) q <= {last};\n\
+             \x20 always @(posedge clk) begin\n\
+             \x20   bits[k] = {last} ^ flags[0];\n\
+             \x20   k = k + 1;\n\
+             \x20   bits[0] = flags[1] & bits[7];\n\
+             \x20 end\n\
              endmodule\n"
         )
     }
