@@ -48,6 +48,7 @@ pub mod hash;
 pub mod intern;
 pub mod methodology;
 pub mod optimize;
+pub mod par;
 pub mod scenario;
 pub mod task;
 pub mod toolmodel;

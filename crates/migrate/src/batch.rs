@@ -1,19 +1,20 @@
 //! Parallel batch migration with work stealing.
 //!
 //! The paper's Exar case study migrated "approximately 1200 schematic
-//! pages" — a batch problem. This module migrates N designs across a
-//! pool of worker threads: each worker owns a deque of design indices,
+//! pages" — a batch problem. This module migrates N designs across
+//! worker threads with the workspace's one work-stealing executor,
+//! [`interop_core::par`]: each worker owns a deque of design indices,
 //! pops work from its own front, and steals from the *back* of other
-//! workers' deques when its own runs dry. Within one design, the
-//! migrator may additionally process independent pages concurrently
-//! (see [`Migrator::with_parallelism`]).
+//! workers' deques when its own runs dry. The calling thread is worker
+//! 0. Both drivers, [`migrate_batch_recorded`] and
+//! [`migrate_batch_resilient`], share that fan-out and its telemetry.
 //!
 //! ## Determinism
 //!
 //! Each design migration is independent and deterministic, and every
-//! result is written into an index-addressed slot, so the returned
-//! outcomes are in input order and byte-identical to a sequential run
-//! regardless of thread count or steal interleaving.
+//! result comes back in input order, so the outcomes are byte-identical
+//! to a sequential run regardless of thread count or steal
+//! interleaving.
 //!
 //! ```
 //! use migrate::batch::{migrate_batch, BatchConfig};
@@ -34,13 +35,12 @@
 //! assert!(outcomes.iter().all(|o| o.design.dialect == DialectId::Cascade));
 //! ```
 
-use std::collections::VecDeque;
 use std::panic::{self, AssertUnwindSafe};
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
-use std::sync::Mutex;
 use std::thread;
 
 use interop_core::fault::{FaultKind, FaultPlan, RetryPolicy, VirtualClock};
+use interop_core::par::par_map_with;
 use obs::{AttrValue, NullRecorder, Recorder, Span};
 use schematic::design::Design;
 use schematic::dialect::DialectId;
@@ -75,45 +75,6 @@ impl BatchConfig {
     }
 }
 
-/// Per-worker deques of design indices. Workers pop their own front and
-/// steal from other workers' backs, which keeps stolen work at the far
-/// end of a victim's locality window.
-struct StealQueues {
-    queues: Vec<Mutex<VecDeque<usize>>>,
-}
-
-impl StealQueues {
-    /// Distributes `jobs` indices round-robin over `workers` deques, so
-    /// every worker starts with local work.
-    fn new(workers: usize, jobs: usize) -> Self {
-        let mut queues: Vec<VecDeque<usize>> = (0..workers).map(|_| VecDeque::new()).collect();
-        for job in 0..jobs {
-            queues[job % workers].push_back(job);
-        }
-        StealQueues {
-            queues: queues.into_iter().map(Mutex::new).collect(),
-        }
-    }
-
-    /// Takes the next job for `worker`: own front first, then steal
-    /// from other queues' backs. Returns the job index and whether it
-    /// was stolen. `None` means the batch is drained — no new work is
-    /// ever enqueued after start, so empty-everywhere is terminal.
-    fn take(&self, worker: usize) -> Option<(usize, bool)> {
-        if let Some(job) = self.queues[worker].lock().unwrap().pop_front() {
-            return Some((job, false));
-        }
-        let n = self.queues.len();
-        for offset in 1..n {
-            let victim = (worker + offset) % n;
-            if let Some(job) = self.queues[victim].lock().unwrap().pop_back() {
-                return Some((job, true));
-            }
-        }
-        None
-    }
-}
-
 /// Migrates every design in `sources` to `target`, in parallel.
 /// Outcomes are returned in input order; the output is byte-identical
 /// to migrating each design sequentially.
@@ -128,9 +89,9 @@ pub fn migrate_batch(
 
 /// Like [`migrate_batch`], but emits observability into `recorder`: a
 /// `migrate.batch` span for the whole run, one `migrate.batch.worker`
-/// span per worker thread (parented under the batch span via
-/// [`obs::attach_parent`], so the trace tree survives the thread
-/// boundary), per-design pipeline spans (via
+/// span per worker (parented under the batch span on every thread, so
+/// the trace tree survives the thread boundary; the calling thread is
+/// worker 0), per-design pipeline spans (via
 /// [`Migrator::migrate_recorded`]), a `migrate.batch.designs` counter,
 /// a `migrate.batch.steals` counter, and a `migrate.batch.queue_depth`
 /// histogram sampled as workers start jobs.
@@ -148,66 +109,45 @@ pub fn migrate_batch_recorded(
     let batch_span = Span::enter(recorder, "migrate.batch");
     batch_span.attr("designs", sources.len());
     batch_span.attr("threads", batch.threads);
-    let batch_id = batch_span.id();
     recorder.add_counter("migrate.batch.designs", sources.len() as u64);
-    if sources.is_empty() {
-        return Vec::new();
-    }
+    fan_out(batch.threads, sources.len(), recorder, |i| {
+        migrator.migrate_recorded(&sources[i], target, recorder)
+    })
+}
 
-    let workers = batch.threads.max(1).min(sources.len());
-    if workers == 1 {
-        return sources
-            .iter()
-            .map(|d| migrator.migrate_recorded(d, target, recorder))
-            .collect();
-    }
-
-    let queues = StealQueues::new(workers, sources.len());
-    let mut slots: Vec<Option<MigrationOutcome>> = Vec::new();
-    slots.resize_with(sources.len(), || None);
-
-    let finished: Vec<Vec<(usize, MigrationOutcome)>> = thread::scope(|scope| {
-        let queues = &queues;
-        let handles: Vec<_> = (0..workers)
-            .map(|worker| {
-                scope.spawn(move || {
-                    // Worker threads have empty span stacks of their own;
-                    // adopt the batch span as parent so every pipeline
-                    // span attributes to the batch, not to a bare thread.
-                    let _ctx = obs::attach_parent(batch_id);
-                    let worker_span = Span::enter(recorder, "migrate.batch.worker");
-                    worker_span.attr("worker", worker);
-                    let mut done = Vec::new();
-                    let mut steals = 0u64;
-                    while let Some((job, stolen)) = queues.take(worker) {
-                        if stolen {
-                            steals += 1;
-                            recorder.add_counter("migrate.batch.steals", 1);
-                        }
-                        let depth = queues.queues[worker].lock().unwrap().len();
-                        recorder.record_value("migrate.batch.queue_depth", depth as u64);
-                        let outcome = migrator.migrate_recorded(&sources[job], target, recorder);
-                        done.push((job, outcome));
-                    }
-                    worker_span.attr("jobs", done.len());
-                    worker_span.attr("steals", steals);
-                    done
-                })
-            })
-            .collect();
-        handles
-            .into_iter()
-            .map(|h| h.join().expect("batch worker panicked"))
-            .collect()
-    });
-
-    for (job, outcome) in finished.into_iter().flatten() {
-        slots[job] = Some(outcome);
-    }
-    slots
-        .into_iter()
-        .map(|s| s.expect("every design index was migrated exactly once"))
-        .collect()
+/// The fan-out both batch drivers share: runs `job` for every index in
+/// `0..len` through [`par_map_with`] and returns the results in index
+/// order. Each worker, the calling thread included, opens a
+/// `migrate.batch.worker` span (attributes `worker`, `jobs`, `steals`)
+/// under the caller's current span; every stolen job bumps
+/// `migrate.batch.steals`, and every job samples its worker's remaining
+/// deque length into `migrate.batch.queue_depth`.
+fn fan_out<R: Send>(
+    threads: usize,
+    len: usize,
+    recorder: &dyn Recorder,
+    job: impl Fn(usize) -> R + Sync,
+) -> Vec<R> {
+    par_map_with(
+        threads,
+        len,
+        |worker| {
+            let span = Span::enter(recorder, "migrate.batch.worker");
+            span.attr("worker", worker);
+            span
+        },
+        |_, taken| {
+            if taken.stolen {
+                recorder.add_counter("migrate.batch.steals", 1);
+            }
+            recorder.record_value("migrate.batch.queue_depth", taken.queue_depth as u64);
+            job(taken.index)
+        },
+        |span, stats| {
+            span.attr("jobs", stats.jobs);
+            span.attr("steals", stats.steals);
+        },
+    )
 }
 
 /// Serializes a design in the target dialect's canonical text form.
@@ -291,7 +231,8 @@ pub enum DesignResult {
     /// completed without it.
     Quarantined(QuarantineEntry),
     /// The run was aborted (see [`ResilientConfig::abort_after`])
-    /// before this design was taken.
+    /// before this design was taken, or a panic outside the
+    /// per-attempt isolation struck it.
     Skipped,
 }
 
@@ -522,11 +463,17 @@ fn migrate_with_retry(
 /// are restored from their serialized outputs without re-running the
 /// pipeline.
 ///
-/// Observability mirrors [`migrate_batch_recorded`], plus counters
-/// `migrate.batch.retries` / `migrate.batch.timeouts` /
+/// Observability mirrors [`migrate_batch_recorded`], whose fan-out and
+/// worker telemetry this driver shares (a design left undone by
+/// [`ResilientConfig::abort_after`] still counts as a job taken), plus
+/// counters `migrate.batch.retries` / `migrate.batch.timeouts` /
 /// `migrate.batch.panics` / `migrate.batch.faults.injected` /
 /// `migrate.batch.quarantined` / `migrate.batch.restored` and a
 /// `migrate.batch.quarantine` event per poisoned design.
+///
+/// A panic that escapes the per-attempt isolation (from the recorder,
+/// say) costs only the design it struck, which comes back
+/// [`DesignResult::Skipped`].
 ///
 /// # Errors
 ///
@@ -557,7 +504,6 @@ pub fn migrate_batch_resilient(
     batch_span.attr("designs", sources.len());
     batch_span.attr("threads", cfg.threads);
     batch_span.attr("resilient", 1usize);
-    let batch_id = batch_span.id();
     recorder.add_counter("migrate.batch.designs", sources.len() as u64);
 
     let clock = VirtualClock::new();
@@ -577,68 +523,31 @@ pub fn migrate_batch_resilient(
     }
 
     let jobs: Vec<usize> = (0..sources.len()).filter(|&i| slots[i].is_none()).collect();
-    let workers = cfg.threads.max(1).min(jobs.len().max(1));
     let finished_cap = cfg.abort_after.unwrap_or(usize::MAX);
     let finished = AtomicUsize::new(0);
-
-    let done: Vec<Vec<(usize, DesignResult, Option<String>)>> = if jobs.is_empty() {
-        Vec::new()
-    } else {
-        let queues = StealQueues::new(workers, jobs.len());
-        thread::scope(|scope| {
-            let queues = &queues;
-            let jobs = &jobs;
-            let clock = &clock;
-            let counters = &counters;
-            let finished = &finished;
-            let handles: Vec<_> = (0..workers)
-                .map(|worker| {
-                    scope.spawn(move || {
-                        let _ctx = obs::attach_parent(batch_id);
-                        let worker_span = Span::enter(recorder, "migrate.batch.worker");
-                        worker_span.attr("worker", worker);
-                        let mut out = Vec::new();
-                        loop {
-                            // Simulated kill: stop taking work once the
-                            // abort budget is spent.
-                            if finished.load(Ordering::SeqCst) >= finished_cap {
-                                break;
-                            }
-                            let Some((pos, stolen)) = queues.take(worker) else {
-                                break;
-                            };
-                            if stolen {
-                                recorder.add_counter("migrate.batch.steals", 1);
-                            }
-                            let index = jobs[pos];
-                            let (result, text) = migrate_with_retry(
-                                migrator,
-                                index,
-                                &sources[index],
-                                target,
-                                cfg,
-                                clock,
-                                counters,
-                                recorder,
-                            );
-                            finished.fetch_add(1, Ordering::SeqCst);
-                            out.push((index, result, text));
-                        }
-                        worker_span.attr("jobs", out.len());
-                        out
-                    })
-                })
-                .collect();
-            handles
-                .into_iter()
-                // A worker can only die to a panic that escaped the
-                // per-design isolation (e.g. a poisoned internal
-                // lock). Its taken-but-unreported designs surface
-                // as Skipped rather than killing the batch.
-                .map(|h| h.join().unwrap_or_default())
-                .collect()
-        })
-    };
+    let done = fan_out(cfg.threads, jobs.len(), recorder, |pos| {
+        // Simulated kill: once the abort budget is spent, the remaining
+        // designs are left undone.
+        if finished.load(Ordering::SeqCst) >= finished_cap {
+            return None;
+        }
+        let index = jobs[pos];
+        let (result, text) = panic::catch_unwind(AssertUnwindSafe(|| {
+            migrate_with_retry(
+                migrator,
+                index,
+                &sources[index],
+                target,
+                cfg,
+                &clock,
+                &counters,
+                recorder,
+            )
+        }))
+        .ok()?;
+        finished.fetch_add(1, Ordering::SeqCst);
+        Some((index, result, text))
+    });
 
     for (index, result, text) in done.into_iter().flatten() {
         match &result {
@@ -676,7 +585,6 @@ pub fn migrate_batch_resilient(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use obs::MemoryRecorder;
     use schematic::gen::{generate, GenConfig};
 
     fn designs(n: u64) -> Vec<Design> {
@@ -714,53 +622,75 @@ mod tests {
     }
 
     #[test]
-    fn page_parallel_batch_is_also_identical() {
-        let sources = designs(4);
-        let plain = Migrator::default();
-        let paged = Migrator::default().with_parallelism(4);
-        let a = migrate_batch(
-            &plain,
-            &sources,
-            DialectId::Cascade,
-            &BatchConfig::with_threads(1),
-        );
-        let b = migrate_batch(
-            &paged,
-            &sources,
-            DialectId::Cascade,
-            &BatchConfig::with_threads(4),
-        );
-        for (x, y) in a.iter().zip(&b) {
-            assert_eq!(
-                schematic::cascade::write(&x.design),
-                schematic::cascade::write(&y.design)
-            );
-        }
-    }
-
-    #[test]
     fn recorder_sees_every_design_and_stage_span() {
+        use obs::{AttrValue, TraceRecorder};
+
         let sources = designs(6);
-        let recorder = MemoryRecorder::new();
         let migrator = Migrator::default();
-        let outcomes = migrate_batch_recorded(
-            &migrator,
-            &sources,
-            DialectId::Cascade,
-            &BatchConfig::with_threads(3),
-            &recorder,
-        );
-        assert_eq!(outcomes.len(), 6);
-        assert_eq!(recorder.span_count("migrate.batch"), 1);
-        assert_eq!(recorder.span_count("migrate.pipeline"), 6);
-        assert_eq!(recorder.counter("migrate.batch.designs"), 6);
-        for id in migrator.stage_ids() {
-            assert_eq!(
-                recorder.span_count(&format!("migrate.stage.{}", id.name())),
-                6,
-                "stage {} should run once per design",
-                id.name()
-            );
+        // Both drivers share one fan-out, so they emit the same worker
+        // spans and counters at every thread count.
+        for threads in [1, 3] {
+            for resilient in [false, true] {
+                let recorder = TraceRecorder::new();
+                let migrated = if resilient {
+                    let report = migrate_batch_resilient(
+                        &migrator,
+                        &sources,
+                        DialectId::Cascade,
+                        &ResilientConfig::with_threads(threads),
+                        &mut Checkpoint::default(),
+                        &recorder,
+                    )
+                    .expect("fresh checkpoint");
+                    report.executed
+                } else {
+                    migrate_batch_recorded(
+                        &migrator,
+                        &sources,
+                        DialectId::Cascade,
+                        &BatchConfig::with_threads(threads),
+                        &recorder,
+                    )
+                    .len()
+                };
+                let case = format!("threads={threads} resilient={resilient}");
+                assert_eq!(migrated, 6, "{case}");
+                assert_eq!(recorder.span_count("migrate.batch"), 1, "{case}");
+                assert_eq!(recorder.span_count("migrate.pipeline"), 6, "{case}");
+                assert_eq!(recorder.counter("migrate.batch.designs"), 6, "{case}");
+                for id in migrator.stage_ids() {
+                    assert_eq!(
+                        recorder.span_count(&format!("migrate.stage.{}", id.name())),
+                        6,
+                        "stage {} should run once per design ({case})",
+                        id.name()
+                    );
+                }
+
+                let spans = recorder.finished_spans();
+                let batch = spans.iter().find(|s| s.name == "migrate.batch").unwrap();
+                let workers: Vec<_> = spans
+                    .iter()
+                    .filter(|s| s.name == "migrate.batch.worker")
+                    .collect();
+                assert_eq!(workers.len(), threads, "{case}");
+                let uint = |span: &obs::TraceSpan, key: &str| match span.attr(key) {
+                    Some(AttrValue::UInt(n)) => *n,
+                    other => panic!("worker span {key} = {other:?} ({case})"),
+                };
+                let mut jobs = 0;
+                let mut steals = 0;
+                for worker in &workers {
+                    assert_eq!(worker.parent, Some(batch.id), "{case}");
+                    uint(worker, "worker");
+                    jobs += uint(worker, "jobs");
+                    steals += uint(worker, "steals");
+                }
+                assert_eq!(jobs, 6, "{case}");
+                assert_eq!(steals, recorder.counter("migrate.batch.steals"), "{case}");
+                let depth = recorder.histogram("migrate.batch.queue_depth");
+                assert_eq!(depth.map(|h| h.count), Some(6), "{case}");
+            }
         }
     }
 

@@ -76,7 +76,6 @@ impl From<ConfigError> for MigrateError {
 pub struct Migrator {
     config: MigrationConfig,
     stages: Vec<Box<dyn Stage>>,
-    parallelism: usize,
     cache: Option<Arc<MigrationCache>>,
     /// Chain hashes memoized per dialect pair — the stage list and
     /// config are fixed after construction, so each pair's chain is
@@ -89,7 +88,6 @@ impl fmt::Debug for Migrator {
         f.debug_struct("Migrator")
             .field("config", &self.config)
             .field("stages", &self.stage_ids())
-            .field("parallelism", &self.parallelism)
             .finish()
     }
 }
@@ -107,7 +105,6 @@ impl Migrator {
         Migrator {
             config,
             stages: builtin_stages(),
-            parallelism: 1,
             cache: None,
             chains: Mutex::new(BTreeMap::new()),
         }
@@ -158,14 +155,6 @@ impl Migrator {
                 ))
             })
             .clone()
-    }
-
-    /// Sets how many threads each stage may use for independent pages
-    /// within one design (1 = sequential; output is identical at any
-    /// value).
-    pub fn with_parallelism(mut self, parallelism: usize) -> Self {
-        self.parallelism = parallelism.max(1);
-        self
     }
 
     /// Stage identities, in execution order.
@@ -265,7 +254,6 @@ impl Migrator {
             src_rules: &src_rules,
             dst_rules: &dst_rules,
             recorder,
-            parallelism: self.parallelism,
         };
 
         let mut exec_idx = 0usize;
@@ -409,25 +397,5 @@ mod tests {
             .unwrap_err();
         assert!(matches!(err, MigrateError::Config(_)));
         assert!(err.to_string().contains("invalid migration config"));
-    }
-
-    #[test]
-    fn page_parallel_migration_matches_sequential() {
-        let source = generate(&GenConfig {
-            pages: 6,
-            ..GenConfig::default()
-        });
-        let sequential = Migrator::default().migrate(&source, DialectId::Cascade);
-        for threads in [2, 4, 8] {
-            let parallel = Migrator::default()
-                .with_parallelism(threads)
-                .migrate(&source, DialectId::Cascade);
-            assert_eq!(parallel.design, sequential.design, "threads={threads}");
-            assert_eq!(
-                format!("{}", parallel.report),
-                format!("{}", sequential.report),
-                "threads={threads}"
-            );
-        }
     }
 }

@@ -25,8 +25,7 @@ pub type StageStats = StageReport;
 
 impl StageReport {
     /// Folds another report into this one: counters add, issues append
-    /// in order. Used to merge per-sheet reports from parallel page
-    /// processing deterministically (callers merge in sheet order).
+    /// in order.
     pub fn merge(&mut self, other: StageReport) {
         self.touched += other.touched;
         self.created += other.created;

@@ -3,9 +3,9 @@
 //! alongside the eight built-ins.
 //!
 //! A stage receives the design being translated plus a [`StageCtx`]
-//! carrying the configuration, both dialects' rules, an observability
-//! [`Recorder`], and the within-design parallelism budget. It returns a
-//! [`StageReport`] of what it did.
+//! carrying the configuration, both dialects' rules and an
+//! observability [`Recorder`]. It returns a [`StageReport`] of what it
+//! did.
 //!
 //! ```
 //! use migrate::prelude::*;
@@ -40,8 +40,7 @@ use crate::report::StageReport;
 use crate::stages;
 
 /// Everything a stage may read while running: configuration, dialect
-/// rules on both sides, the observability sink, and how many threads
-/// the stage may use for independent pages.
+/// rules on both sides, and the observability sink.
 pub struct StageCtx<'a> {
     /// The migration configuration.
     pub config: &'a MigrationConfig,
@@ -51,10 +50,6 @@ pub struct StageCtx<'a> {
     pub dst_rules: &'a DialectRules,
     /// Observability sink; stages may open spans and bump counters.
     pub recorder: &'a dyn Recorder,
-    /// Threads available for page-parallel work inside this stage
-    /// (1 = sequential). Stages must produce identical output at any
-    /// value.
-    pub parallelism: usize,
 }
 
 /// One translation stage. Implementations must be [`Send`] + [`Sync`]
@@ -91,14 +86,7 @@ impl Stage for ScaleStage {
     fn run(&self, design: &mut Design, ctx: &StageCtx<'_>) -> StageReport {
         let (num, den) = ctx.src_rules.scale_to(ctx.dst_rules);
         let mut report = StageReport::default();
-        stages::scale::run(
-            design,
-            num,
-            den,
-            ctx.dst_rules.grid,
-            ctx.parallelism,
-            &mut report,
-        );
+        stages::scale::run(design, num, den, ctx.dst_rules.grid, &mut report);
         report
     }
 }
@@ -217,7 +205,7 @@ impl Stage for TextStage {
     }
     fn run(&self, design: &mut Design, ctx: &StageCtx<'_>) -> StageReport {
         let mut report = StageReport::default();
-        stages::text::run(design, ctx.dst_rules.font, ctx.parallelism, &mut report);
+        stages::text::run(design, ctx.dst_rules.font, &mut report);
         report
     }
 }
@@ -275,7 +263,6 @@ mod tests {
             src_rules: &src,
             dst_rules: &dst,
             recorder: &NullRecorder,
-            parallelism: 1,
         };
         let report = ScaleStage.run(&mut design, &ctx);
         assert!(report.touched > 0);

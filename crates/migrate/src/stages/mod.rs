@@ -8,51 +8,3 @@ pub mod props;
 pub mod scale;
 pub mod symbols;
 pub mod text;
-
-use schematic::design::Design;
-use schematic::sheet::Sheet;
-
-use crate::report::StageReport;
-
-/// Runs `f` over every sheet in the design, splitting the sheets across
-/// up to `parallelism` threads. Sheets are collected in deterministic
-/// cell order (the design's cell map is a `BTreeMap`) and per-sheet
-/// reports are merged back in that same order, so the combined report —
-/// including issue ordering — is identical at any thread count.
-pub(crate) fn run_sheets_parallel<F>(design: &mut Design, parallelism: usize, f: F) -> StageReport
-where
-    F: Fn(&mut Sheet) -> StageReport + Sync,
-{
-    let mut sheets: Vec<&mut Sheet> = Vec::new();
-    for cell in design.cells_mut() {
-        sheets.extend(cell.sheets.iter_mut());
-    }
-
-    let mut merged = StageReport::default();
-    let threads = parallelism.max(1).min(sheets.len().max(1));
-    if threads <= 1 {
-        for sheet in sheets {
-            merged.merge(f(sheet));
-        }
-        return merged;
-    }
-
-    let chunk = sheets.len().div_ceil(threads);
-    let f = &f;
-    let reports: Vec<Vec<StageReport>> = std::thread::scope(|scope| {
-        let handles: Vec<_> = sheets
-            .chunks_mut(chunk)
-            .map(|batch| scope.spawn(move || batch.iter_mut().map(|s| f(s)).collect::<Vec<_>>()))
-            .collect();
-        handles
-            .into_iter()
-            .map(|h| h.join().expect("sheet worker panicked"))
-            .collect()
-    });
-    for per_sheet in reports {
-        for report in per_sheet {
-            merged.merge(report);
-        }
-    }
-    merged
-}

@@ -13,17 +13,8 @@ use schematic::Library;
 use crate::report::StageStats;
 
 /// Scales every coordinate in the design by `num/den` and retags symbol
-/// grids to `target_grid`. Sheets are independent, so with
-/// `parallelism > 1` they are processed across that many threads; the
-/// result is identical at any thread count.
-pub fn run(
-    design: &mut Design,
-    num: i64,
-    den: i64,
-    target_grid: i64,
-    parallelism: usize,
-    stats: &mut StageStats,
-) {
+/// grids to `target_grid`.
+pub fn run(design: &mut Design, num: i64, den: i64, target_grid: i64, stats: &mut StageStats) {
     // Libraries: rebuild each symbol scaled.
     let lib_names: Vec<interop_core::IStr> = design.libraries().map(|l| l.name.clone()).collect();
     for name in lib_names {
@@ -36,20 +27,14 @@ pub fn run(
         design.add_library(scaled);
     }
 
-    // Cell ports are few; scale them sequentially.
     for cell in design.cells_mut() {
         for port in &mut cell.ports {
             port.at = port.at.scaled(num, den);
         }
+        for sheet in &mut cell.sheets {
+            scale_sheet(sheet, num, den, stats);
+        }
     }
-
-    // Sheets: instances, wires, connectors, labels — page-parallel.
-    let merged = super::run_sheets_parallel(design, parallelism, |sheet| {
-        let mut r = StageStats::default();
-        scale_sheet(sheet, num, den, &mut r);
-        r
-    });
-    stats.merge(merged);
 }
 
 fn scale_sheet(sheet: &mut Sheet, num: i64, den: i64, stats: &mut StageStats) {
@@ -89,7 +74,7 @@ mod tests {
         let c = DialectRules::cascade();
         let (num, den) = v.scale_to(&c);
         let mut stats = StageStats::default();
-        run(&mut d, num, den, c.grid, 1, &mut stats);
+        run(&mut d, num, den, c.grid, &mut stats);
         assert!(stats.touched > 0);
         for (_, cell) in d.cells() {
             for sheet in &cell.sheets {

@@ -23,29 +23,24 @@ pub fn convert_label(label: &mut Label, target: FontMetrics) {
 }
 
 /// Converts every label and annotation in the design to `target` font
-/// metrics. Labels on different sheets are independent, so with
-/// `parallelism > 1` sheets are processed across that many threads; the
-/// result is identical at any thread count.
-pub fn run(design: &mut Design, target: FontMetrics, parallelism: usize, stats: &mut StageStats) {
-    let merged = super::run_sheets_parallel(design, parallelism, |sheet| {
-        let mut r = StageStats::default();
+/// metrics.
+pub fn run(design: &mut Design, target: FontMetrics, stats: &mut StageStats) {
+    for sheet in design.cells_mut().flat_map(|cell| cell.sheets.iter_mut()) {
         for w in &mut sheet.wires {
             if let Some(l) = &mut w.label {
                 if l.font != target {
                     convert_label(l, target);
-                    r.touched += 1;
+                    stats.touched += 1;
                 }
             }
         }
         for a in &mut sheet.annotations {
             if a.font != target {
                 convert_label(a, target);
-                r.touched += 1;
+                stats.touched += 1;
             }
         }
-        r
-    });
-    stats.merge(merged);
+    }
 }
 
 #[cfg(test)]
@@ -89,7 +84,7 @@ mod tests {
         d.add_cell(cell);
 
         let mut stats = StageStats::default();
-        run(&mut d, FontMetrics::CASCADE, 1, &mut stats);
+        run(&mut d, FontMetrics::CASCADE, &mut stats);
         assert_eq!(stats.touched, 2);
         let sheet = &d.cell("top").unwrap().sheets[0];
         assert_eq!(
@@ -99,7 +94,7 @@ mod tests {
         assert_eq!(sheet.annotations[0].font, FontMetrics::CASCADE);
         // Idempotent.
         let mut stats2 = StageStats::default();
-        run(&mut d, FontMetrics::CASCADE, 1, &mut stats2);
+        run(&mut d, FontMetrics::CASCADE, &mut stats2);
         assert_eq!(stats2.touched, 0);
     }
 }

@@ -2,10 +2,14 @@
 //! identity for healthy designs, positioned parse errors from corrupted
 //! output, and checkpoint/resume after a simulated kill.
 
-use migrate::batch::{migrate_batch, migrate_batch_resilient, BatchConfig, ResilientConfig};
+use std::time::Duration;
+
+use migrate::batch::{
+    migrate_batch, migrate_batch_resilient, BatchConfig, DesignResult, ResilientConfig,
+};
 use migrate::checkpoint::{Checkpoint, CheckpointError};
 use migrate::{FaultKind, FaultPlan, Migrator, RetryPolicy};
-use obs::{MemoryRecorder, NullRecorder};
+use obs::{MemoryRecorder, NullRecorder, Recorder};
 use proptest::prelude::*;
 use schematic::design::Design;
 use schematic::dialect::DialectId;
@@ -288,6 +292,68 @@ fn killed_batch_resumes_from_checkpoint_without_rerunning_finished_designs() {
         );
     }
     assert_eq!(restored.len(), sources.len());
+}
+
+/// Panics when a design is quarantined. That counter is bumped after
+/// the retry loop, outside the per-attempt panic isolation.
+struct PanicsOnQuarantine;
+
+impl Recorder for PanicsOnQuarantine {
+    fn record_span(&self, _name: &str, _duration: Duration) {}
+    fn add_counter(&self, name: &str, _delta: u64) {
+        if name == "migrate.batch.quarantined" {
+            panic!("recorder failed on {name}");
+        }
+    }
+    fn record_value(&self, _name: &str, _value: u64) {}
+}
+
+#[test]
+fn a_panic_outside_attempt_isolation_costs_only_its_own_design() {
+    let sources = designs(6);
+    let migrator = Migrator::default();
+    let clean = reference(&migrator, &sources);
+    let poison = 2;
+
+    for threads in [1, 2] {
+        let cfg = ResilientConfig {
+            threads,
+            retry: RetryPolicy::with_attempts(2).base_delay(1),
+            fault_plan: FaultPlan::seeded(3).with_fault(
+                sources[poison].name.clone(),
+                ..,
+                FaultKind::PersistentError,
+            ),
+            timeout_ticks: None,
+            abort_after: None,
+        };
+        let mut cp = Checkpoint::default();
+        let report = migrate_batch_resilient(
+            &migrator,
+            &sources,
+            DialectId::Cascade,
+            &cfg,
+            &mut cp,
+            &PanicsOnQuarantine,
+        )
+        .expect("runs");
+
+        assert!(matches!(report.results[poison], DesignResult::Skipped));
+        assert_eq!(report.skipped, 1, "threads={threads}");
+        assert_eq!(report.executed, sources.len() - 1, "threads={threads}");
+        assert_eq!(cp.len(), sources.len() - 1, "threads={threads}");
+        for (i, result) in report.results.iter().enumerate() {
+            if i == poison {
+                continue;
+            }
+            let DesignResult::Migrated(outcome) = result else {
+                panic!("design {i} at threads={threads}: {result:?}");
+            };
+            assert_eq!(schematic::cascade::write(&outcome.design), clean[i]);
+            let saved = cp.restore(i, DialectId::Cascade).expect("checkpointed");
+            assert_eq!(schematic::cascade::write(&saved), clean[i]);
+        }
+    }
 }
 
 #[test]

@@ -59,20 +59,4 @@ proptest! {
         }
     }
 
-    #[test]
-    fn page_parallel_migrator_matches_sequential(
-        fleet in arb_fleet(),
-        parallelism in 2usize..6,
-    ) {
-        let sequential = Migrator::default();
-        let paged = Migrator::default().with_parallelism(parallelism);
-        for design in &fleet {
-            let a = sequential.migrate(design, DialectId::Cascade);
-            let b = paged.migrate(design, DialectId::Cascade);
-            prop_assert_eq!(
-                schematic::cascade::write(&a.design),
-                schematic::cascade::write(&b.design)
-            );
-        }
-    }
 }

@@ -38,9 +38,12 @@
 //! Every [`Span`] gets a process-unique [`SpanId`]; the innermost open
 //! span on the current thread (a thread-local stack) becomes the parent
 //! of the next one, so nesting falls out of ordinary RAII scoping. Work
-//! handed to *another* thread — a work-stealing batch worker, say —
-//! re-attaches explicitly with [`attach_parent`], so child spans
-//! attribute to the job they serve, not the thread that stole it:
+//! handed to *another* thread re-attaches explicitly with
+//! [`attach_parent`], so child spans attribute to the job they serve,
+//! not the thread that stole it. The workspace's work-stealing
+//! executor, `interop_core::par`, does this on every worker thread it
+//! starts, attaching the caller's [`current_span`]; by hand it looks
+//! like this:
 //!
 //! ```
 //! use obs::{attach_parent, Span, TraceRecorder};

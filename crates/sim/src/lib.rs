@@ -24,7 +24,8 @@
 //! ([`logic::reference`]) for differential testing. Kernels are `Send`
 //! (the circuit sits behind an `Arc`), so the policy × stimulus
 //! divergence grid can be swept across threads with
-//! [`race::sweep_parallel`].
+//! [`race::sweep_parallel`], which fans out through
+//! [`interop_core::par`].
 //!
 //! ## Example
 //!

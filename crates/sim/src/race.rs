@@ -9,13 +9,14 @@
 //! Section 6's methodology asks for *exhaustive* scenario exploration:
 //! [`sweep`] runs the full `policies × stimulus sets` grid, and
 //! [`sweep_parallel`] fans the same grid across threads — kernels are
-//! `Send`, and the circuit is shared through one [`Arc`] — using the
-//! work-stealing pattern established by `migrate::batch`. Both produce
-//! identical, deterministically ordered results.
+//! `Send`, and the circuit is shared through one [`Arc`] — with the
+//! workspace's one work-stealing executor, [`interop_core::par`]. Both
+//! produce identical, deterministically ordered results.
 
 use std::collections::BTreeMap;
-use std::collections::VecDeque;
-use std::sync::{Arc, Mutex};
+use std::sync::Arc;
+
+use interop_core::par::par_map;
 
 use crate::elab::{Circuit, SigId};
 use crate::kernel::{Kernel, SchedulerPolicy, SimError};
@@ -300,45 +301,11 @@ fn sweep_one(
     })
 }
 
-/// Per-worker deques with stealing: a worker pops its own queue from
-/// the front and steals from the back of others' — the same discipline
-/// as `migrate::batch`, which keeps contention low while bounding
-/// imbalance to one job.
-struct StealQueues {
-    queues: Vec<Mutex<VecDeque<usize>>>,
-}
-
-impl StealQueues {
-    fn new(workers: usize, jobs: usize) -> Self {
-        let mut queues: Vec<VecDeque<usize>> = (0..workers).map(|_| VecDeque::new()).collect();
-        for job in 0..jobs {
-            queues[job % workers].push_back(job);
-        }
-        StealQueues {
-            queues: queues.into_iter().map(Mutex::new).collect(),
-        }
-    }
-
-    fn take(&self, worker: usize) -> Option<usize> {
-        if let Some(job) = self.queues[worker].lock().expect("queue").pop_front() {
-            return Some(job);
-        }
-        for offset in 1..self.queues.len() {
-            let victim = (worker + offset) % self.queues.len();
-            if let Some(job) = self.queues[victim].lock().expect("queue").pop_back() {
-                return Some(job);
-            }
-        }
-        None
-    }
-}
-
 /// Runs the `policies × stims` divergence grid across `threads` worker
-/// threads. Each job is one stimulus set (all policies run within the
-/// job, so per-stim comparisons never cross threads); jobs are
-/// distributed round-robin and rebalanced by work stealing. The result
-/// vector is byte-identical to [`sweep`]'s regardless of thread count
-/// or steal timing — results land in index-addressed slots.
+/// threads with [`par_map`]. Each job is one stimulus set (all policies
+/// run within the job, so per-stim comparisons never cross threads).
+/// The result vector is byte-identical to [`sweep`]'s regardless of
+/// thread count or steal timing.
 ///
 /// # Errors
 ///
@@ -350,41 +317,8 @@ pub fn sweep_parallel(
     stims: &[Stim],
     threads: usize,
 ) -> Result<Vec<SweepResult>, SimError> {
-    let workers = threads.max(1).min(stims.len().max(1));
-    if workers <= 1 {
-        return sweep(circuit, policies, stims);
-    }
-    let queues = StealQueues::new(workers, stims.len());
-    let mut slots: Vec<Option<Result<SweepResult, SimError>>> = vec![None; stims.len()];
-    std::thread::scope(|scope| {
-        // The calling thread serves as worker 0 instead of blocking in
-        // join(): only `workers - 1` threads are spawned, and on small
-        // grids the caller does real work while the spawns warm up.
-        let handles: Vec<_> = (1..workers)
-            .map(|worker| {
-                let queues = &queues;
-                let circuit = Arc::clone(circuit);
-                scope.spawn(move || {
-                    let mut done: Vec<(usize, Result<SweepResult, SimError>)> = Vec::new();
-                    while let Some(job) = queues.take(worker) {
-                        done.push((job, sweep_one(&circuit, policies, &stims[job])));
-                    }
-                    done
-                })
-            })
-            .collect();
-        while let Some(job) = queues.take(0) {
-            slots[job] = Some(sweep_one(circuit, policies, &stims[job]));
-        }
-        for handle in handles {
-            for (job, result) in handle.join().expect("sweep worker panicked") {
-                slots[job] = Some(result);
-            }
-        }
-    });
-    slots
+    par_map(threads, stims, |stim| sweep_one(circuit, policies, stim))
         .into_iter()
-        .map(|s| s.expect("every job produced a result"))
         .collect()
 }
 
