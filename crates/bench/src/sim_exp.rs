@@ -306,69 +306,9 @@ pub fn sens_table(rows: &[SensRow], mismatch: bool) -> String {
     s
 }
 
-/// A deliberately busy model for the kernel-throughput experiment: a
-/// combinational gate chain feeding a 70-bit concat bus, a chain of
-/// wide plane ops over 70/140/280-bit vectors, reductions back down to
-/// scalars, and two clocked registers — so one clock cycle exercises
-/// scalar ops, wide word-parallel ops, NBA commits, and watcher
-/// fan-out.
-pub const BUSY_MODEL: &str = r#"
-    module busy(input clk, input d, output reg q, output reg [15:0] acc);
-      wire g0; wire g1; wire g2; wire g3; wire g4; wire g5;
-      wire g6; wire g7; wire g8; wire g9;
-      assign g0 = d ^ clk;
-      assign g1 = ~g0;
-      assign g2 = g0 & g1;
-      assign g3 = g0 | g2;
-      assign g4 = g3 ^ g1;
-      assign g5 = ~g4;
-      assign g6 = g5 & d;
-      assign g7 = g6 | g4;
-      assign g8 = g7 ^ g5;
-      assign g9 = ~g8;
-      wire [69:0] bus;
-      wire [69:0] busn;
-      wire [69:0] busx;
-      wire [69:0] busa;
-      wire [69:0] buso;
-      wire [139:0] wide;
-      wire [139:0] widen;
-      wire [139:0] widex;
-      wire [279:0] huge;
-      wire [279:0] hugen;
-      wire [279:0] hugea;
-      wire [279:0] hugeo;
-      wire [279:0] hugex;
-      wire ra; wire ro;
-      assign bus = {g0, g1, g2, g3, g4, g5, g6, g7, g8, g9,
-                    g0, g1, g2, g3, g4, g5, g6, g7, g8, g9,
-                    g0, g1, g2, g3, g4, g5, g6, g7, g8, g9,
-                    g0, g1, g2, g3, g4, g5, g6, g7, g8, g9,
-                    g0, g1, g2, g3, g4, g5, g6, g7, g8, g9,
-                    g0, g1, g2, g3, g4, g5, g6, g7, g8, g9,
-                    g0, g1, g2, g3, g4, g5, g6, g7, g8, g9};
-      assign busn = ~bus;
-      assign busx = bus ^ busn;
-      assign busa = bus & busx;
-      assign buso = busa | busn;
-      assign wide = {bus, busn};
-      assign widen = ~wide;
-      assign widex = wide ^ widen;
-      assign huge = {widex, widen};
-      assign hugen = ~huge;
-      assign hugea = huge & hugen;
-      assign hugeo = hugea | huge;
-      assign hugex = hugeo ^ hugen;
-      assign ra = &hugex;
-      assign ro = |buso;
-      initial begin
-        q = 0;
-        acc = 0;
-      end
-      always @(posedge clk) q <= g9 ^ ra ^ ro;
-      always @(posedge clk) acc <= acc + 1;
-    endmodule
-"#;
+/// The deliberately busy model of the kernel-throughput experiment
+/// ([`sim::race::models::BUSY`]).
+pub const BUSY_MODEL: &str = models::BUSY;
 
 /// Builds a [`BUSY_MODEL`] kernel.
 pub fn busy_kernel(policy: SchedulerPolicy) -> Kernel {

@@ -1,10 +1,17 @@
 //! Elaboration: HDL AST → simulatable circuit IR.
+//!
+//! Statements stay a small tree (blocks, `if`, `case`, assignments);
+//! every expression in them — continuous right-hand sides, conditions,
+//! case comparisons, assignment sources and bit-select indices — is
+//! lowered here, once per circuit, into the circuit's compiled
+//! program (see [`crate::eval`]).
 
 use std::collections::BTreeMap;
 use std::fmt;
 
-use hdl::ast::{self, Edge, Item, Module, Sensitivity};
+use hdl::ast::{self, BinOp, Edge, Item, Module, Sensitivity};
 
+use crate::eval::{Expr, Op, Operand, Program};
 use crate::logic::{Logic, Value};
 
 /// Signal identifier within a [`Circuit`].
@@ -23,61 +30,13 @@ pub struct SignalDef {
     pub is_input: bool,
 }
 
-/// Elaborated expression.
-#[derive(Debug, Clone, PartialEq)]
-pub enum SExpr {
-    /// Whole-signal read.
-    Sig(SigId),
-    /// Bit select.
-    Bit(SigId, Box<SExpr>),
-    /// Constant.
-    Const(Value),
-    /// Unary op.
-    Unary(ast::UnOp, Box<SExpr>),
-    /// Binary op.
-    Binary(ast::BinOp, Box<SExpr>, Box<SExpr>),
-    /// Conditional.
-    Ternary(Box<SExpr>, Box<SExpr>, Box<SExpr>),
-    /// Concatenation, MSB-first operand order.
-    Concat(Vec<SExpr>),
-}
-
-impl SExpr {
-    /// Signals read by the expression.
-    pub fn reads(&self, out: &mut Vec<SigId>) {
-        match self {
-            SExpr::Sig(s) => out.push(*s),
-            SExpr::Bit(s, i) => {
-                out.push(*s);
-                i.reads(out);
-            }
-            SExpr::Const(_) => {}
-            SExpr::Unary(_, e) => e.reads(out),
-            SExpr::Binary(_, a, b) => {
-                a.reads(out);
-                b.reads(out);
-            }
-            SExpr::Ternary(c, a, b) => {
-                c.reads(out);
-                a.reads(out);
-                b.reads(out);
-            }
-            SExpr::Concat(items) => {
-                for e in items {
-                    e.reads(out);
-                }
-            }
-        }
-    }
-}
-
 /// Elaborated assignment target.
 #[derive(Debug, Clone, PartialEq)]
 pub struct LRef {
     /// Target signal.
     pub sig: SigId,
     /// Bit select, if any.
-    pub index: Option<SExpr>,
+    pub index: Option<Expr>,
 }
 
 /// Elaborated statement.
@@ -88,7 +47,7 @@ pub enum SStmt {
     /// Conditional.
     If {
         /// Condition.
-        cond: SExpr,
+        cond: Expr,
         /// Then branch.
         then_s: Box<SStmt>,
         /// Else branch.
@@ -99,16 +58,18 @@ pub enum SStmt {
         /// Target.
         lhs: LRef,
         /// Source.
-        rhs: SExpr,
+        rhs: Expr,
         /// Blocking (`=`) vs non-blocking (`<=`).
         blocking: bool,
     },
     /// Case dispatch.
     Case {
-        /// Subject.
-        subject: SExpr,
-        /// Arms.
-        arms: Vec<(Vec<SExpr>, SStmt)>,
+        /// Subject, evaluated once per dispatch.
+        subject: Expr,
+        /// Arms: each label compiled as `subject == label` over the
+        /// subject's result, so the first arm with a label evaluating
+        /// to 1 runs.
+        arms: Vec<(Vec<Expr>, SStmt)>,
         /// Default arm.
         default: Option<Box<SStmt>>,
     },
@@ -124,7 +85,7 @@ pub enum Proc {
         /// Target.
         lhs: LRef,
         /// Source.
-        rhs: SExpr,
+        rhs: Expr,
     },
     /// Always block with an event list.
     Always {
@@ -156,6 +117,11 @@ pub struct Circuit {
     pub procs: Vec<Proc>,
     /// Initial-block stimuli, time-sorted.
     pub stimuli: Vec<Stimulus>,
+    /// Every expression above, compiled.
+    program: Program,
+    /// Per signal, the `(edge, process)` pairs it triggers, in process
+    /// order.
+    watchers: Vec<Vec<(Edge, usize)>>,
 }
 
 impl Circuit {
@@ -167,6 +133,16 @@ impl Circuit {
     /// Signal count.
     pub fn signal_count(&self) -> usize {
         self.signals.len()
+    }
+
+    /// The compiled expressions.
+    pub(crate) fn program(&self) -> &Program {
+        &self.program
+    }
+
+    /// The `(edge, process)` pairs a change of `sig` may trigger.
+    pub(crate) fn watchers(&self, sig: SigId) -> &[(Edge, usize)] {
+        &self.watchers[sig]
     }
 }
 
@@ -198,6 +174,8 @@ pub enum ElabError {
         /// The literal's digit text.
         digits: String,
     },
+    /// A concatenation with no operands.
+    EmptyConcat,
 }
 
 impl fmt::Display for ElabError {
@@ -214,6 +192,7 @@ impl fmt::Display for ElabError {
                 write!(f, "line {line}: # delay outside initial block")
             }
             ElabError::BadLiteral { digits } => write!(f, "bad literal digits `{digits}`"),
+            ElabError::EmptyConcat => write!(f, "empty concatenation"),
         }
     }
 }
@@ -277,42 +256,93 @@ impl Elab {
             })
     }
 
-    fn expr(&self, e: &ast::Expr) -> Result<SExpr, ElabError> {
+    /// Compiles one expression into the circuit's program.
+    fn expr(&mut self, e: &ast::Expr) -> Result<Expr, ElabError> {
+        let start = self.circuit.program.mark();
+        let (out, width) = self.lower(e)?;
+        Ok(self.circuit.program.finish(start, out, width))
+    }
+
+    /// Lowers `e` to instructions, operands first, returning the operand
+    /// holding its result and its static width.
+    fn lower(&mut self, e: &ast::Expr) -> Result<(Operand, usize), ElabError> {
         Ok(match e {
-            ast::Expr::Ident(n) => SExpr::Sig(self.sig(n)?),
-            ast::Expr::Index(n, i) => SExpr::Bit(self.sig(n)?, Box::new(self.expr(i)?)),
-            ast::Expr::Int(v) => SExpr::Const(Value::from_u64(*v, 64)),
+            ast::Expr::Ident(n) => {
+                let sig = self.sig(n)?;
+                (Operand::Sig(sig), self.circuit.signals[sig].width)
+            }
+            ast::Expr::Index(n, i) => {
+                let sig = self.sig(n)?;
+                let (index, _) = self.lower(i)?;
+                let lsb = self.circuit.signals[sig].lsb;
+                (self.circuit.program.emit(Op::Bit { sig, lsb, index }, 1), 1)
+            }
+            ast::Expr::Int(v) => (self.circuit.program.constant(Value::from_u64(*v, 64)), 64),
             ast::Expr::Based {
                 width,
                 digits,
                 base,
-            } => SExpr::Const(decode_based(*width, digits, *base)?),
-            ast::Expr::Unary(op, x) => SExpr::Unary(*op, Box::new(self.expr(x)?)),
-            ast::Expr::Binary(op, a, b) => {
-                SExpr::Binary(*op, Box::new(self.expr(a)?), Box::new(self.expr(b)?))
+            } => {
+                let v = decode_based(*width, digits, *base)?;
+                let w = v.width();
+                (self.circuit.program.constant(v), w)
             }
-            ast::Expr::Ternary(c, a, b) => SExpr::Ternary(
-                Box::new(self.expr(c)?),
-                Box::new(self.expr(a)?),
-                Box::new(self.expr(b)?),
-            ),
-            ast::Expr::Concat(items) => SExpr::Concat(
-                items
-                    .iter()
-                    .map(|x| self.expr(x))
-                    .collect::<Result<_, _>>()?,
-            ),
+            ast::Expr::Unary(op, x) => {
+                let (a, wa) = self.lower(x)?;
+                let w = match op {
+                    ast::UnOp::Not | ast::UnOp::Neg => wa,
+                    ast::UnOp::LNot | ast::UnOp::RedAnd | ast::UnOp::RedOr => 1,
+                };
+                (self.circuit.program.emit(Op::Unary(*op, a), w), w)
+            }
+            ast::Expr::Binary(op, a, b) => {
+                let (a, wa) = self.lower(a)?;
+                let (b, wb) = self.lower(b)?;
+                let w = match op {
+                    BinOp::LAnd
+                    | BinOp::LOr
+                    | BinOp::Eq
+                    | BinOp::Ne
+                    | BinOp::Lt
+                    | BinOp::Gt
+                    | BinOp::Le
+                    | BinOp::Ge => 1,
+                    _ => wa.max(wb),
+                };
+                (self.circuit.program.emit(Op::Binary(*op, a, b), w), w)
+            }
+            ast::Expr::Ternary(c, a, b) => {
+                let (c, _) = self.lower(c)?;
+                let (a, wa) = self.lower(a)?;
+                let (b, wb) = self.lower(b)?;
+                let w = wa.max(wb);
+                (self.circuit.program.emit(Op::Mux(c, a, b), w), w)
+            }
+            ast::Expr::Concat(items) => {
+                let mut parts = Vec::with_capacity(items.len());
+                let mut w = 0;
+                for item in items {
+                    let (p, wp) = self.lower(item)?;
+                    parts.push(p);
+                    w += wp;
+                }
+                if parts.is_empty() {
+                    return Err(ElabError::EmptyConcat);
+                }
+                let op = self.circuit.program.concat(&parts);
+                (self.circuit.program.emit(op, w), w)
+            }
         })
     }
 
-    fn lref(&self, l: &ast::LValue) -> Result<LRef, ElabError> {
+    fn lref(&mut self, l: &ast::LValue) -> Result<LRef, ElabError> {
         Ok(LRef {
             sig: self.sig(&l.name)?,
             index: l.index.as_ref().map(|i| self.expr(i)).transpose()?,
         })
     }
 
-    fn stmt(&self, s: &ast::Stmt) -> Result<SStmt, ElabError> {
+    fn stmt(&mut self, s: &ast::Stmt) -> Result<SStmt, ElabError> {
         Ok(match s {
             ast::Stmt::Block(items) => SStmt::Block(
                 items
@@ -348,31 +378,44 @@ impl Elab {
                 subject,
                 arms,
                 default,
-            } => SStmt::Case {
-                subject: self.expr(subject)?,
-                arms: arms
-                    .iter()
-                    .map(|(vals, body)| {
-                        Ok((
-                            vals.iter()
-                                .map(|v| self.expr(v))
-                                .collect::<Result<Vec<_>, ElabError>>()?,
-                            self.stmt(body)?,
-                        ))
-                    })
-                    .collect::<Result<_, ElabError>>()?,
-                default: default
-                    .as_ref()
-                    .map(|d| self.stmt(d).map(Box::new))
-                    .transpose()?,
-            },
+            } => {
+                let subject = self.expr(subject)?;
+                let mut compiled = Vec::with_capacity(arms.len());
+                for (labels, body) in arms {
+                    let labels = labels
+                        .iter()
+                        .map(|l| self.case_label(&subject, l))
+                        .collect::<Result<Vec<_>, ElabError>>()?;
+                    compiled.push((labels, self.stmt(body)?));
+                }
+                SStmt::Case {
+                    subject,
+                    arms: compiled,
+                    default: default
+                        .as_ref()
+                        .map(|d| self.stmt(d).map(Box::new))
+                        .transpose()?,
+                }
+            }
             ast::Stmt::Nop => SStmt::Nop,
         })
     }
 
+    /// Compiles a case label as `subject == label`, reading the
+    /// subject's already-computed result.
+    fn case_label(&mut self, subject: &Expr, label: &ast::Expr) -> Result<Expr, ElabError> {
+        let start = self.circuit.program.mark();
+        let (l, _) = self.lower(label)?;
+        let eq = self
+            .circuit
+            .program
+            .emit(Op::Binary(BinOp::Eq, subject.out(), l), 1);
+        Ok(self.circuit.program.finish(start, eq, 1))
+    }
+
     /// Unrolls an initial body into time-stamped stimuli.
     fn unroll_initial(
-        &self,
+        &mut self,
         body: &ast::Stmt,
         t: &mut u64,
         out: &mut Vec<Stimulus>,
@@ -433,7 +476,7 @@ pub fn compile(module: &Module) -> Result<Circuit, ElabError> {
         circuit.by_name.insert(net.name.clone(), id);
     }
 
-    let elab = Elab { circuit };
+    let mut elab = Elab { circuit };
     let mut procs = Vec::new();
     let mut stimuli = Vec::new();
 
@@ -482,10 +525,41 @@ pub fn compile(module: &Module) -> Result<Circuit, ElabError> {
     }
 
     let mut circuit = elab.circuit;
+    circuit.watchers = watchers(&circuit, &procs);
     circuit.procs = procs;
     stimuli.sort_by_key(|s| s.at);
     circuit.stimuli = stimuli;
     Ok(circuit)
+}
+
+/// Each signal's watchers: every continuous assignment reading it
+/// (right-hand side or target index), and every always block triggered
+/// by it, in process order.
+fn watchers(circuit: &Circuit, procs: &[Proc]) -> Vec<Vec<(Edge, usize)>> {
+    let mut watchers: Vec<Vec<(Edge, usize)>> = vec![Vec::new(); circuit.signals.len()];
+    let mut reads = Vec::new();
+    for (pid, proc_) in procs.iter().enumerate() {
+        match proc_ {
+            Proc::Continuous { lhs, rhs } => {
+                reads.clear();
+                circuit.program.reads(rhs, &mut reads);
+                if let Some(i) = &lhs.index {
+                    circuit.program.reads(i, &mut reads);
+                }
+                reads.sort_unstable();
+                reads.dedup();
+                for &r in &reads {
+                    watchers[r].push((Edge::Any, pid));
+                }
+            }
+            Proc::Always { events, .. } => {
+                for (edge, sig) in events {
+                    watchers[*sig].push((*edge, pid));
+                }
+            }
+        }
+    }
+    watchers
 }
 
 /// Flattens `top` within `unit` and compiles the result.

@@ -12,22 +12,29 @@
 //!
 //! ## Hot-path discipline
 //!
-//! A kernel run allocates nothing per event for circuits whose signals
-//! are ≤ 64 bits wide: values are packed two-plane words
-//! ([`crate::logic`]), activation dedup is a generation-stamped mark
-//! array instead of a `BTreeSet`, watcher lists are walked in place
-//! (never cloned), PLI dispatch borrows the callback list, and the NBA
-//! buffer is recycled across delta cycles.
+//! A race sweep allocates once per committed change wider than 64 bits
+//! — the waveform record's copy of the new value — and nowhere else on
+//! the per-event path:
 //!
-//! Above 64 bits, an activation allocates once per operator result
-//! that is wide (one `Box<[u64]>` each), plus one part list per
-//! concatenation; a committed wide change adds one copy, the waveform
-//! record's. Nothing else is copied: [`crate::eval::eval`] reads signal
-//! and constant operands in place, [`crate::eval::store`] compares the
-//! new value with the stored one by reference and moves it into the
-//! state, edge detection gets only bit 0 of the old and new values, and
-//! PLI callbacks read the new value from the state. (The waveform's
-//! change log grows by amortized doubling.)
+//! * every expression was compiled at elaboration into the circuit's
+//!   program ([`crate::eval`]), and the kernel runs it against one
+//!   register file allocated when the kernel is built; operands are read
+//!   in place from state slots, constants and registers;
+//! * a store compares the result with the signal's state slot and, on a
+//!   change, copies the words into the slot's existing storage; edge
+//!   detection gets only bit 0 of the old and new values, and PLI
+//!   callbacks read the new value from the state;
+//! * non-blocking updates are copied into a recycled word buffer, not
+//!   into owned values;
+//! * activation dedup is a generation-stamped mark array, watcher lists
+//!   are built once per circuit and walked in place, PLI dispatch
+//!   borrows the callback list, and the NBA buffers are recycled across
+//!   delta cycles.
+//!
+//! Whether the per-bit reference operators are forced
+//! ([`crate::logic::reference`]) is checked once per settle, not once
+//! per operation. The waveform's change log grows by amortized
+//! doubling.
 //!
 //! The circuit lives behind an [`Arc`], which also makes a [`Kernel`]
 //! `Send` — the basis for [`crate::race::sweep_parallel`]'s
@@ -43,9 +50,9 @@ use std::sync::Arc;
 use hdl::ast::Edge;
 use obs::{NullRecorder, Recorder, Span};
 
-use crate::elab::{Circuit, LRef, Proc, SExpr, SStmt, SigId};
-use crate::eval::{eval, sized, store, NbaUpdate};
-use crate::logic::{Logic, Value};
+use crate::elab::{Circuit, LRef, Proc, SStmt, SigId};
+use crate::eval::{store, Expr, Operand};
+use crate::logic::{reference, word_count, Bits, BitsMut, Logic, Value};
 
 /// Pop order for simultaneous process activations.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -135,13 +142,10 @@ impl Waveform {
     /// `signal_count` bounds the signal id space (ids at or above it
     /// simply read back empty histories).
     pub fn indexed(&self, signal_count: usize) -> IndexedWaveform<'_> {
-        let mut by_sig: Vec<Vec<u32>> = vec![Vec::new(); signal_count];
-        for (i, (_, s, _)) in self.changes.iter().enumerate() {
-            if let Some(list) = by_sig.get_mut(*s) {
-                list.push(i as u32);
-            }
+        IndexedWaveform {
+            wave: self,
+            index: ChangeIndex::new(self, signal_count),
         }
-        IndexedWaveform { wave: self, by_sig }
     }
 }
 
@@ -151,29 +155,83 @@ impl Waveform {
 #[derive(Debug)]
 pub struct IndexedWaveform<'a> {
     wave: &'a Waveform,
-    by_sig: Vec<Vec<u32>>,
+    index: ChangeIndex,
 }
 
 impl IndexedWaveform<'_> {
     /// The change history of one signal, with consecutive duplicates
     /// collapsed — identical output to [`Waveform::history`].
     pub fn history(&self, sig: SigId) -> Vec<(u64, Value)> {
-        let Some(positions) = self.by_sig.get(sig) else {
-            return Vec::new();
-        };
-        let mut out: Vec<(u64, Value)> = Vec::with_capacity(positions.len());
-        for &i in positions {
-            let (t, _, v) = &self.wave.changes[i as usize];
-            if out.last().map(|(_, lv)| lv) != Some(v) {
-                out.push((*t, v.clone()));
-            }
-        }
-        out
+        self.index
+            .history(self.wave, sig)
+            .map(|(_, t, v)| (t, v.clone()))
+            .collect()
     }
 
     /// Number of indexed signals.
     pub fn signal_count(&self) -> usize {
-        self.by_sig.len()
+        self.index.ends.len()
+    }
+}
+
+/// The positions of each signal's changes in a waveform's log, grouped
+/// by signal with a counting sort: two allocations whatever the signal
+/// count. Holds no borrow of the waveform, so a caller may move values
+/// out of the log once it has read the positions it needs.
+#[derive(Debug)]
+pub(crate) struct ChangeIndex {
+    /// Signal `s`'s positions are `order[ends[s - 1]..ends[s]]`, from
+    /// 0 for signal 0.
+    ends: Vec<u32>,
+    order: Vec<u32>,
+}
+
+impl ChangeIndex {
+    pub(crate) fn new(wave: &Waveform, signal_count: usize) -> ChangeIndex {
+        let mut ends = vec![0u32; signal_count];
+        for (_, s, _) in &wave.changes {
+            if let Some(n) = ends.get_mut(*s) {
+                *n += 1;
+            }
+        }
+        // Exclusive prefix sums: each signal's first slot.
+        let mut total = 0;
+        for e in &mut ends {
+            (*e, total) = (total, total + *e);
+        }
+        let mut order = vec![0u32; total as usize];
+        for (i, (_, s, _)) in wave.changes.iter().enumerate() {
+            if let Some(next) = ends.get_mut(*s) {
+                order[*next as usize] = i as u32;
+                *next += 1; // ends as the slot after the signal's last
+            }
+        }
+        ChangeIndex { ends, order }
+    }
+
+    /// Signal `sig`'s changes as `(position, time, value)`, consecutive
+    /// duplicates collapsed, read by reference.
+    pub(crate) fn history<'a>(
+        &'a self,
+        wave: &'a Waveform,
+        sig: SigId,
+    ) -> impl Iterator<Item = (u32, u64, &'a Value)> + 'a {
+        let positions = match self.ends.get(sig) {
+            Some(&end) => {
+                let start = if sig == 0 { 0 } else { self.ends[sig - 1] };
+                &self.order[start as usize..end as usize]
+            }
+            None => &[],
+        };
+        let mut last: Option<&Value> = None;
+        positions.iter().filter_map(move |&i| {
+            let (t, _, v) = &wave.changes[i as usize];
+            if last == Some(v) {
+                return None;
+            }
+            last = Some(v);
+            Some((i, *t, v))
+        })
     }
 }
 
@@ -243,16 +301,37 @@ struct Run {
     /// two — staling every mark at once without touching the array.
     queued_mark: Vec<u64>,
     queue_gen: u64,
-    nba: Vec<NbaUpdate>,
-    /// Recycled NBA buffer: swapped with `nba` each delta cycle so the
-    /// steady state performs no queue allocations.
-    nba_scratch: Vec<NbaUpdate>,
-    watchers: Vec<Vec<(Edge, usize)>>,
+    /// Pending non-blocking updates of the current delta cycle.
+    nba: Nba,
+    /// Recycled NBA buffers: swapped with `nba` each delta cycle so the
+    /// steady state performs no allocations.
+    nba_scratch: Nba,
+    /// The register file of the circuit's compiled program.
+    regs: Vec<u64>,
+    /// Whether the per-bit reference operators are forced on the
+    /// running thread, sampled once per settle.
+    reference: bool,
     next_stim: usize,
     waves: Waveform,
     steps: usize,
     depth: usize,
     pli: BTreeMap<SigId, Vec<crate::pli::PliCallback>>,
+}
+
+/// A pending non-blocking update: the new bits sit at `words[at..]` in
+/// its [`Nba`], as wide as the write (the whole signal, or one bit).
+struct NbaUpdate {
+    sig: SigId,
+    bit: Option<i64>,
+    at: usize,
+}
+
+/// The non-blocking updates of one delta cycle, with their values'
+/// words in one buffer.
+#[derive(Default)]
+struct Nba {
+    updates: Vec<NbaUpdate>,
+    words: Vec<u64>,
 }
 
 /// Per-slot activity tallied during one [`Kernel::settle`].
@@ -275,28 +354,6 @@ impl Kernel {
     /// run many kernels over one circuit; sharing the [`Arc`] avoids a
     /// deep clone per kernel.
     pub fn new_shared(circuit: Arc<Circuit>, policy: SchedulerPolicy) -> Self {
-        let mut watchers: Vec<Vec<(Edge, usize)>> = vec![Vec::new(); circuit.signals.len()];
-        for (pid, proc_) in circuit.procs.iter().enumerate() {
-            match proc_ {
-                Proc::Continuous { lhs, rhs } => {
-                    let mut reads = Vec::new();
-                    rhs.reads(&mut reads);
-                    if let Some(i) = &lhs.index {
-                        i.reads(&mut reads);
-                    }
-                    reads.sort_unstable();
-                    reads.dedup();
-                    for r in reads {
-                        watchers[r].push((Edge::Any, pid));
-                    }
-                }
-                Proc::Always { events, .. } => {
-                    for (edge, sig) in events {
-                        watchers[*sig].push((*edge, pid));
-                    }
-                }
-            }
-        }
         let state = circuit
             .signals
             .iter()
@@ -309,9 +366,10 @@ impl Kernel {
             queue: VecDeque::new(),
             queued_mark: vec![0; circuit.procs.len()],
             queue_gen: 1,
-            nba: Vec::new(),
-            nba_scratch: Vec::new(),
-            watchers,
+            nba: Nba::default(),
+            nba_scratch: Nba::default(),
+            regs: vec![0; circuit.program().register_words()],
+            reference: false,
             next_stim: 0,
             waves: Waveform::default(),
             steps: 0,
@@ -353,6 +411,11 @@ impl Kernel {
     /// The recorded waveform.
     pub fn waveform(&self) -> &Waveform {
         &self.run.waves
+    }
+
+    /// Consumes the kernel, keeping only its recorded waveform.
+    pub(crate) fn into_waveform(self) -> Waveform {
+        self.run.waves
     }
 
     /// The circuit being simulated.
@@ -397,9 +460,15 @@ impl Kernel {
     /// Drives a signal from outside (a testbench poke). Propagation
     /// happens on the next [`Kernel::run_until`] / [`Kernel::settle`].
     pub fn poke(&mut self, sig: SigId, value: Value) {
+        self.poke_ref(sig, &value);
+    }
+
+    /// [`Kernel::poke`] from a borrowed value: its bits are copied into
+    /// the signal's existing storage.
+    pub(crate) fn poke_ref(&mut self, sig: SigId, value: &Value) {
         let run = &mut self.run;
-        if let Some((old0, new0)) = store(&mut run.state, &self.circuit.signals, sig, None, value) {
-            run.commit_deferred(sig, old0, new0);
+        if let Some((old0, new0)) = store(&mut run.state[sig], None, value.bits()) {
+            run.commit_deferred(&self.circuit, sig, old0, new0);
         }
     }
 
@@ -427,6 +496,7 @@ impl Kernel {
     /// Returns [`SimError::Runaway`] when zero-delay activity exceeds
     /// the step budget (combinational loop / oscillation).
     pub fn settle(&mut self) -> Result<(), SimError> {
+        self.run.reference = reference::active();
         let mut stats = SlotStats::default();
         if !self.traced {
             return self.run.settle(&self.circuit, &mut stats);
@@ -467,6 +537,7 @@ impl Kernel {
     }
 
     fn run_until_inner(&mut self, t_end: u64) -> Result<(), SimError> {
+        // Also samples the reference flag for the stimuli run below.
         self.settle()?;
         while let Some(at) = self
             .stimulus_at(self.run.next_stim)
@@ -540,13 +611,9 @@ impl Run {
     /// Commit used from outside process execution (pokes): watchers are
     /// queued, never run inline. `old0`/`new0` are bit 0 of the old and
     /// new value, as [`store`] reports them.
-    fn commit_deferred(&mut self, sig: SigId, old0: Logic, new0: Logic) {
+    fn commit_deferred(&mut self, circuit: &Circuit, sig: SigId, old0: Logic, new0: Logic) {
         self.publish(sig);
-        // Index loop: watcher lists are immutable after construction,
-        // and re-borrowing per iteration lets `enqueue` take `&mut
-        // self` without cloning the list.
-        for i in 0..self.watchers[sig].len() {
-            let (edge, pid) = self.watchers[sig][i];
+        for &(edge, pid) in circuit.watchers(sig) {
             if edge_fires(edge, old0, new0) {
                 self.enqueue(pid);
             }
@@ -564,8 +631,7 @@ impl Run {
         new0: Logic,
     ) -> Result<(), SimError> {
         self.publish(sig);
-        for i in 0..self.watchers[sig].len() {
-            let (edge, pid) = self.watchers[sig][i];
+        for &(edge, pid) in circuit.watchers(sig) {
             if !edge_fires(edge, old0, new0) {
                 continue;
             }
@@ -591,12 +657,10 @@ impl Run {
         }
         let result = match &circuit.procs[pid] {
             Proc::Continuous { lhs, rhs } => match self.resolve(circuit, lhs, rhs) {
-                Some((bit, value)) => {
-                    match store(&mut self.state, &circuit.signals, lhs.sig, bit, value) {
-                        Some((old0, new0)) => self.commit_now(circuit, lhs.sig, old0, new0),
-                        None => Ok(()),
-                    }
-                }
+                Some(bit) => match self.store(circuit, lhs.sig, bit, rhs.out()) {
+                    Some((old0, new0)) => self.commit_now(circuit, lhs.sig, old0, new0),
+                    None => Ok(()),
+                },
                 None => Ok(()), // unknown index: no drive
             },
             Proc::Always { body, .. } => self.exec_stmt(body, circuit),
@@ -605,19 +669,79 @@ impl Run {
         result
     }
 
+    /// Runs a compiled expression into the register file.
+    fn eval(&mut self, circuit: &Circuit, e: &Expr) {
+        circuit
+            .program()
+            .run(e, &self.state, &mut self.regs, self.reference);
+    }
+
+    /// Runs an expression and reads its truthiness.
+    fn truthy(&mut self, circuit: &Circuit, e: &Expr) -> Option<bool> {
+        self.eval(circuit, e);
+        circuit
+            .program()
+            .result(e, &self.state, &self.regs)
+            .truthy()
+    }
+
     /// Evaluates an assignment's index (Verilog: at assignment time) and
-    /// right-hand side. The value comes back at the width the write
-    /// needs — the signal's, or one bit for a bit select — so a whole
-    /// owned result moves on to [`store`] without a copy. `None` when
-    /// the index is unknown.
-    fn resolve(&self, circuit: &Circuit, lhs: &LRef, rhs: &SExpr) -> Option<(Option<i64>, Value)> {
-        let def = &circuit.signals[lhs.sig];
+    /// right-hand side, leaving the source in the register file. Returns
+    /// the resolved bit (relative to the target's declared lsb) of a
+    /// bit-select write, and `None` when that index is unknown.
+    fn resolve(&mut self, circuit: &Circuit, lhs: &LRef, rhs: &Expr) -> Option<Option<i64>> {
         let bit = match &lhs.index {
-            Some(i) => Some(eval(i, &self.state, &circuit.signals).as_u64()? as i64 - def.lsb),
+            Some(i) => {
+                self.eval(circuit, i);
+                let index = circuit.program().result(i, &self.state, &self.regs);
+                Some(index.as_u64()? as i64 - circuit.signals[lhs.sig].lsb)
+            }
             None => None,
         };
-        let width = if bit.is_some() { 1 } else { def.width };
-        Some((bit, sized(eval(rhs, &self.state, &circuit.signals), width)))
+        self.eval(circuit, rhs);
+        Some(bit)
+    }
+
+    /// Stores operand `src` into signal `sig` in place — see [`store`].
+    fn store(
+        &mut self,
+        circuit: &Circuit,
+        sig: SigId,
+        bit: Option<i64>,
+        src: Operand,
+    ) -> Option<(Logic, Logic)> {
+        let Operand::Sig(from) = src else {
+            let src = circuit.program().scratch(src, &self.regs);
+            return store(&mut self.state[sig], bit, src);
+        };
+        if from == sig {
+            // A signal read into itself: only a bit write can change it.
+            let b = self.state[sig].get(0);
+            return bit.and_then(|_| store(&mut self.state[sig], bit, Value::bit(b).bits()));
+        }
+        let (src, slot) = if from < sig {
+            let (lo, hi) = self.state.split_at_mut(sig);
+            (&lo[from], &mut hi[0])
+        } else {
+            let (lo, hi) = self.state.split_at_mut(from);
+            (&hi[0], &mut lo[sig])
+        };
+        store(slot, bit, src.bits())
+    }
+
+    /// Queues a non-blocking write of operand `src`, copying its bits at
+    /// the write's width into the NBA word buffer.
+    fn defer(&mut self, circuit: &Circuit, sig: SigId, bit: Option<i64>, src: Operand) {
+        let width = if bit.is_some() {
+            1
+        } else {
+            circuit.signals[sig].width
+        };
+        let at = self.nba.words.len();
+        self.nba.words.resize(at + 2 * word_count(width), 0);
+        let src = circuit.program().operand(src, &self.state, &self.regs);
+        BitsMut::from_words(&mut self.nba.words[at..], width).copy(src);
+        self.nba.updates.push(NbaUpdate { sig, bit, at });
     }
 
     /// Statement execution with *live* commits: each blocking store
@@ -636,7 +760,7 @@ impl Run {
                 cond,
                 then_s,
                 else_s,
-            } => match eval(cond, &self.state, &circuit.signals).truthy() {
+            } => match self.truthy(circuit, cond) {
                 Some(true) => self.exec_stmt(then_s, circuit),
                 _ => match else_s {
                     Some(e) => self.exec_stmt(e, circuit),
@@ -644,21 +768,15 @@ impl Run {
                 },
             },
             SStmt::Assign { lhs, rhs, blocking } => {
-                let Some((bit, value)) = self.resolve(circuit, lhs, rhs) else {
+                let Some(bit) = self.resolve(circuit, lhs, rhs) else {
                     return Ok(()); // unknown index: discard
                 };
                 if *blocking {
-                    if let Some((old0, new0)) =
-                        store(&mut self.state, &circuit.signals, lhs.sig, bit, value)
-                    {
+                    if let Some((old0, new0)) = self.store(circuit, lhs.sig, bit, rhs.out()) {
                         self.commit_now(circuit, lhs.sig, old0, new0)?;
                     }
                 } else {
-                    self.nba.push(NbaUpdate {
-                        sig: lhs.sig,
-                        bit,
-                        value,
-                    });
+                    self.defer(circuit, lhs.sig, bit, rhs.out());
                 }
                 Ok(())
             }
@@ -667,10 +785,12 @@ impl Run {
                 arms,
                 default,
             } => {
-                let sv = eval(subject, &self.state, &circuit.signals);
-                for (vals, body) in arms {
-                    for v in vals {
-                        if sv.logic_eq(&eval(v, &self.state, &circuit.signals)) == Logic::One {
+                // Each label is compiled as `subject == label`, reading
+                // the subject's result from the register file.
+                self.eval(circuit, subject);
+                for (labels, body) in arms {
+                    for label in labels {
+                        if self.truthy(circuit, label) == Some(true) {
                             return self.exec_stmt(body, circuit);
                         }
                     }
@@ -691,29 +811,38 @@ impl Run {
             while let Some(pid) = self.pop() {
                 self.run_proc(circuit, pid)?;
             }
-            if self.nba.is_empty() {
+            if self.nba.updates.is_empty() {
                 // Slot drained: advance the generation (stays odd) so
                 // every mark goes stale without clearing the array.
                 self.queue_gen += 2;
                 return Ok(());
             }
             // NBA region: apply all pending updates, then loop back to
-            // the active region. Swap through the scratch buffer so the
-            // steady state reuses one allocation.
+            // the active region. Swap through the scratch buffers so the
+            // steady state reuses their allocations.
             stats.delta_cycles += 1;
-            let mut updates = std::mem::take(&mut self.nba);
-            std::mem::swap(&mut self.nba, &mut self.nba_scratch);
-            self.nba.clear();
-            stats.nba_updates += updates.len() as u64;
-            for u in updates.drain(..) {
-                if let Some((old0, new0)) =
-                    store(&mut self.state, &circuit.signals, u.sig, u.bit, u.value)
-                {
+            let mut pending =
+                std::mem::replace(&mut self.nba, std::mem::take(&mut self.nba_scratch));
+            stats.nba_updates += pending.updates.len() as u64;
+            for u in &pending.updates {
+                let width = if u.bit.is_some() {
+                    1
+                } else {
+                    circuit.signals[u.sig].width
+                };
+                let words = &pending.words[u.at..u.at + 2 * word_count(width)];
+                if let Some((old0, new0)) = store(
+                    &mut self.state[u.sig],
+                    u.bit,
+                    Bits::from_words(words, width),
+                ) {
                     // NBA commits queue watchers like any other event.
                     self.commit_now(circuit, u.sig, old0, new0)?;
                 }
             }
-            self.nba_scratch = updates;
+            pending.updates.clear();
+            pending.words.clear();
+            self.nba_scratch = pending;
         }
     }
 }
@@ -1028,6 +1157,55 @@ mod tests {
             let top = k.peek_name("top").unwrap();
             assert_eq!(top.get(64), Logic::One);
             assert_eq!(top.resized(64).as_u64(), Some(65));
+        }
+    }
+
+    #[test]
+    fn ternary_result_has_the_wider_arms_width() {
+        // IEEE 1364-2005 §5.4.1: `s ? a4 : b8` is 8 bits wide whichever
+        // arm is chosen, so the chosen 4-bit arm is zero-extended before
+        // the concatenation or the inversion sees it.
+        let mut k = kernel(
+            r#"
+            module t(input s, input [3:0] a4, input [7:0] b8,
+                     output [8:0] w9, output [7:0] w8);
+              assign w9 = {1'b1, s ? a4 : b8};
+              assign w8 = ~(s ? a4 : b8);
+            endmodule
+            "#,
+            "t",
+            SchedulerPolicy::sim_a(),
+        );
+        k.poke_name("s", Value::bit(Logic::One)).unwrap();
+        k.poke_name("a4", Value::from_u64(0b1010, 4)).unwrap();
+        k.poke_name("b8", Value::from_u64(0b0110_0101, 8)).unwrap();
+        k.run_until(1).unwrap();
+        assert_eq!(k.peek_name("w9").unwrap().to_string_msb(), "100001010");
+        assert_eq!(k.peek_name("w8").unwrap().to_string_msb(), "11110101");
+        // An unknown condition merges both arms at the same width.
+        k.poke_name("s", Value::bit(Logic::X)).unwrap();
+        k.run_until(2).unwrap();
+        assert_eq!(k.peek_name("w9").unwrap().to_string_msb(), "10xx0xxxx");
+    }
+
+    #[test]
+    fn program_is_compiled_once_per_circuit() {
+        let unit = parse(
+            "module m(input [69:0] a, input [69:0] b, output [69:0] w);
+               assign w = (a & b) ^ ~a;
+             endmodule",
+        )
+        .unwrap();
+        let circuit = Arc::new(compile_unit(&unit, "m").unwrap());
+        // Three instructions, each a 70-bit register of 2 × 2 words.
+        assert_eq!(circuit.program().instr_count(), 3);
+        assert_eq!(circuit.program().register_words(), 12);
+        let kernels: Vec<Kernel> = SchedulerPolicy::all()
+            .into_iter()
+            .map(|p| Kernel::new_shared(Arc::clone(&circuit), p))
+            .collect();
+        for k in &kernels {
+            assert!(std::ptr::eq(k.circuit().program(), circuit.program()));
         }
     }
 

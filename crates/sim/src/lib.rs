@@ -21,7 +21,10 @@
 //! Values are packed two-bitplane words ([`logic::Value`]): widths up
 //! to 64 are two inline `u64`s and the gate tables are word-parallel
 //! plane arithmetic, with a retained per-bit reference path
-//! ([`logic::reference`]) for differential testing. Kernels are `Send`
+//! ([`logic::reference`]) for differential testing. Elaboration
+//! compiles every expression once per circuit into word-level
+//! instructions over registers ([`eval`]), which each kernel runs
+//! against its own preallocated register file. Kernels are `Send`
 //! (the circuit sits behind an `Arc`), so the policy × stimulus
 //! divergence grid can be swept across threads with
 //! [`race::sweep_parallel`], which fans out through

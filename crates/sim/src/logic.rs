@@ -29,19 +29,24 @@
 //!
 //! ## What allocates
 //!
-//! Nothing at 64 bits or below. Above 64 bits, each new value costs
-//! exactly one allocation: the constructors ([`Value::unknown`],
-//! [`Value::from_u64`], ...), the gate ops, [`Value::resized`],
-//! [`Value::concat_msb`] and the word-wise arithmetic all write their
-//! result straight into one `Box<[u64]>` of `2n` words with the top
-//! word masked. [`Value::into_resized`] moves a value of the right
-//! width through without copying it. Reading operands never allocates.
+//! The word loops are slice kernels that read operands through borrowed
+//! plane views and write into borrowed `&mut [u64]` planes; none of them
+//! allocates. [`Value`]'s operators are thin wrappers over them: each
+//! allocates its result once (nothing at 64 bits or below, one
+//! `Box<[u64]>` of `2n` words above) and runs a kernel into it.
+//! [`Value::into_resized`] moves a value of the right width through
+//! without copying it. The simulation kernel does not use the wrappers:
+//! its compiled expression executor ([`crate::eval`]) runs the same
+//! kernels into a preallocated register file, and a committed value is
+//! copied into the signal's existing storage, so evaluating and storing
+//! allocate nothing at any width.
 //!
-//! The original per-bit implementation is retained in [`mod@reference`] and
-//! can be forced for a thread with [`reference::force`]; kernel-level
-//! tests pin the packed path by demanding byte-identical waveforms
-//! between the two.
+//! A per-bit implementation of every operator is retained in
+//! [`mod@reference`] and can be forced for a thread with
+//! [`reference::force`]; kernel-level tests pin the packed path by
+//! demanding byte-identical waveforms between the two.
 
+use std::cmp::Ordering;
 use std::fmt;
 
 /// One Verilog-style logic value.
@@ -166,7 +171,7 @@ impl fmt::Display for Logic {
 
 /// Words needed for `width` bits.
 #[inline]
-fn word_count(width: usize) -> usize {
+pub(crate) fn word_count(width: usize) -> usize {
     width.div_ceil(64)
 }
 
@@ -176,6 +181,440 @@ fn top_mask(width: usize) -> u64 {
     match width % 64 {
         0 => u64::MAX,
         r => (1u64 << r) - 1,
+    }
+}
+
+/// A read-only view of `width` bits held as two planes of
+/// `word_count(width)` words each, canonical (every bit at or above
+/// `width` zero). A [`Value`] lends one out, and so does a register of
+/// the compiled expression executor ([`crate::eval`]). The word
+/// kernels read operands through it, so an operand is never copied.
+#[derive(Debug, Clone, Copy)]
+pub(crate) struct Bits<'a> {
+    val: &'a [u64],
+    unk: &'a [u64],
+    width: usize,
+}
+
+impl<'a> Bits<'a> {
+    /// Views `words` — the val words followed by as many unknown words
+    /// — as `width` bits.
+    #[inline]
+    pub(crate) fn from_words(words: &'a [u64], width: usize) -> Bits<'a> {
+        let (val, unk) = words.split_at(words.len() / 2);
+        Bits { val, unk, width }
+    }
+}
+
+impl Bits<'_> {
+    /// A known zero of `width` bits, backed by no storage.
+    fn zero(width: usize) -> Bits<'static> {
+        Bits {
+            val: &[],
+            unk: &[],
+            width,
+        }
+    }
+
+    /// Width in bits.
+    #[inline]
+    pub(crate) fn width(&self) -> usize {
+        self.width
+    }
+
+    /// Where the val plane lives: tests use it to check that a read or
+    /// a store made no copy.
+    #[cfg(test)]
+    pub(crate) fn as_ptr(&self) -> *const u64 {
+        self.val.as_ptr()
+    }
+
+    /// Word `i` of both planes; words beyond storage read as known zero,
+    /// which is zero extension.
+    #[inline]
+    fn word(&self, i: usize) -> (u64, u64) {
+        (
+            self.val.get(i).copied().unwrap_or(0),
+            self.unk.get(i).copied().unwrap_or(0),
+        )
+    }
+
+    /// Bit `i` (LSB = 0); X when out of range.
+    pub(crate) fn get(&self, i: usize) -> Logic {
+        if i >= self.width {
+            return Logic::X;
+        }
+        let (v, u) = self.word(i / 64);
+        let b = i % 64;
+        Logic::from_planes((v >> b) & 1 == 1, (u >> b) & 1 == 1)
+    }
+
+    /// True when any bit is x or z.
+    pub(crate) fn has_unknown(&self) -> bool {
+        self.unk.iter().any(|w| *w != 0)
+    }
+
+    /// Numeric interpretation of a fully known value of at most 64 bits.
+    pub(crate) fn as_u64(&self) -> Option<u64> {
+        if self.width > 64 || self.has_unknown() {
+            return None;
+        }
+        Some(self.word(0).0)
+    }
+
+    /// Verilog truthiness: a known 1 anywhere decides `Some(true)`; all
+    /// known 0 is `Some(false)`; otherwise unknown.
+    pub(crate) fn truthy(&self) -> Option<bool> {
+        let mut any_unknown = false;
+        for i in 0..word_count(self.width) {
+            let (v, u) = self.word(i);
+            if v & !u != 0 {
+                return Some(true); // a known 1 decides it
+            }
+            any_unknown |= u != 0;
+        }
+        if any_unknown {
+            None
+        } else {
+            Some(false)
+        }
+    }
+
+    /// Case/logic equality over zero-extended operands.
+    pub(crate) fn logic_eq(&self, other: Bits<'_>) -> Logic {
+        let n = word_count(self.width.max(other.width));
+        let mut any_unknown = false;
+        for i in 0..n {
+            let (va, ua) = self.word(i);
+            let (vb, ub) = other.word(i);
+            if (va ^ vb) & !(ua | ub) != 0 {
+                return Logic::Zero; // a known mismatch decides it
+            }
+            any_unknown |= (ua | ub) != 0;
+        }
+        if any_unknown {
+            Logic::X
+        } else {
+            Logic::One
+        }
+    }
+
+    /// Reduction AND.
+    pub(crate) fn reduce_and(&self) -> Logic {
+        let n = word_count(self.width);
+        let mut any_unknown = false;
+        for i in 0..n {
+            let (v, u) = self.word(i);
+            let in_range = if i == n - 1 {
+                top_mask(self.width)
+            } else {
+                u64::MAX
+            };
+            if !v & !u & in_range != 0 {
+                return Logic::Zero; // a known 0 dominates
+            }
+            any_unknown |= u != 0;
+        }
+        if any_unknown {
+            Logic::X
+        } else {
+            Logic::One
+        }
+    }
+
+    /// Reduction OR.
+    pub(crate) fn reduce_or(&self) -> Logic {
+        match self.truthy() {
+            Some(true) => Logic::One,
+            Some(false) => Logic::Zero,
+            None => Logic::X,
+        }
+    }
+
+    /// Unsigned comparison of zero-extended operands; `None` when any
+    /// bit of either is x or z.
+    pub(crate) fn cmp_known(&self, other: Bits<'_>) -> Option<Ordering> {
+        if self.has_unknown() || other.has_unknown() {
+            return None;
+        }
+        let n = word_count(self.width.max(other.width));
+        Some(
+            (0..n)
+                .rev()
+                .map(|i| self.word(i).0.cmp(&other.word(i).0))
+                .find(|o| o.is_ne())
+                .unwrap_or(Ordering::Equal),
+        )
+    }
+
+    /// The value of a fully known shift amount, saturated to
+    /// `usize::MAX` when it does not fit.
+    fn shift_amount(&self) -> usize {
+        if (1..word_count(self.width)).any(|i| self.word(i).0 != 0) {
+            return usize::MAX;
+        }
+        usize::try_from(self.word(0).0).unwrap_or(usize::MAX)
+    }
+}
+
+/// A writable view of `width` bits as two planes of
+/// `word_count(width)` words. Every writer sets all words and masks the
+/// top one, so the view stays canonical, and none of them allocates:
+/// these are the word kernels behind both [`Value`]'s operators and the
+/// compiled expression executor.
+#[derive(Debug)]
+pub(crate) struct BitsMut<'a> {
+    val: &'a mut [u64],
+    unk: &'a mut [u64],
+    width: usize,
+}
+
+impl<'a> BitsMut<'a> {
+    /// Views `words` — the val words followed by as many unknown words
+    /// — as `width` writable bits.
+    #[inline]
+    pub(crate) fn from_words(words: &'a mut [u64], width: usize) -> BitsMut<'a> {
+        let (val, unk) = words.split_at_mut(words.len() / 2);
+        BitsMut { val, unk, width }
+    }
+}
+
+impl BitsMut<'_> {
+    /// Writes word `i` of both planes from `word(i)`, called once per
+    /// word in ascending order (so it may carry state, e.g. an adder's
+    /// carry), then masks the top word.
+    #[inline]
+    fn fill(&mut self, mut word: impl FnMut(usize) -> (u64, u64)) {
+        for (i, (v, u)) in self.val.iter_mut().zip(self.unk.iter_mut()).enumerate() {
+            (*v, *u) = word(i);
+        }
+        let (n, m) = (self.val.len(), top_mask(self.width));
+        self.val[n - 1] &= m;
+        self.unk[n - 1] &= m;
+    }
+
+    /// Sets bit `i`; out-of-range writes are ignored.
+    pub(crate) fn set(&mut self, i: usize, b: Logic) {
+        if i >= self.width {
+            return;
+        }
+        let (v, u) = b.planes();
+        let (w, m) = (i / 64, 1u64 << (i % 64));
+        self.val[w] = (self.val[w] & !m) | if v { m } else { 0 };
+        self.unk[w] = (self.unk[w] & !m) | if u { m } else { 0 };
+    }
+
+    /// Writes a one-bit result.
+    #[inline]
+    pub(crate) fn set_logic(&mut self, b: Logic) {
+        let (v, u) = b.planes();
+        self.fill(|i| if i == 0 { (v as u64, u as u64) } else { (0, 0) });
+    }
+
+    /// Copies `a`, zero-extended or truncated to this width.
+    pub(crate) fn copy(&mut self, a: Bits<'_>) {
+        self.fill(|i| a.word(i));
+    }
+
+    /// Copies `a` like [`BitsMut::copy`], reporting whether any bit
+    /// changed: the in-place store of a committed value.
+    pub(crate) fn assign(&mut self, a: Bits<'_>) -> bool {
+        let (n, m) = (self.val.len(), top_mask(self.width));
+        let mut changed = false;
+        for i in 0..n {
+            let (mut v, mut u) = a.word(i);
+            if i == n - 1 {
+                v &= m;
+                u &= m;
+            }
+            changed |= self.val[i] != v || self.unk[i] != u;
+            self.val[i] = v;
+            self.unk[i] = u;
+        }
+        changed
+    }
+
+    /// All x.
+    pub(crate) fn unknown(&mut self) {
+        self.fill(|_| (0, u64::MAX));
+    }
+
+    /// All z.
+    fn high_z(&mut self) {
+        self.fill(|_| (u64::MAX, u64::MAX));
+    }
+
+    /// Known zero.
+    pub(crate) fn clear(&mut self) {
+        self.fill(|_| (0, 0));
+    }
+
+    /// An unsigned integer, truncated or zero-extended.
+    pub(crate) fn set_u64(&mut self, v: u64) {
+        self.fill(|i| (if i == 0 { v } else { 0 }, 0));
+    }
+
+    /// A word-parallel gate over zero-extended operands: `f` maps
+    /// `(val_a, unk_a, val_b, unk_b)` to `(val_out, unk_out)`.
+    #[inline]
+    fn zip(&mut self, a: Bits<'_>, b: Bits<'_>, f: impl Fn(u64, u64, u64, u64) -> (u64, u64)) {
+        self.fill(|i| {
+            let ((va, ua), (vb, ub)) = (a.word(i), b.word(i));
+            f(va, ua, vb, ub)
+        });
+    }
+
+    /// Bitwise AND.
+    pub(crate) fn and(&mut self, a: Bits<'_>, b: Bits<'_>) {
+        self.zip(a, b, |va, ua, vb, ub| {
+            // Known 1 where both known-1; known 0 where either known-0;
+            // X everywhere else (z collapses to x through the unknown
+            // plane).
+            let one = (va & !ua) & (vb & !ub);
+            let zero = (!va & !ua) | (!vb & !ub);
+            (one, !(one | zero))
+        });
+    }
+
+    /// Bitwise OR.
+    pub(crate) fn or(&mut self, a: Bits<'_>, b: Bits<'_>) {
+        self.zip(a, b, |va, ua, vb, ub| {
+            let one = (va & !ua) | (vb & !ub);
+            let zero = (!va & !ua) & (!vb & !ub);
+            (one, !(one | zero))
+        });
+    }
+
+    /// Bitwise XOR.
+    pub(crate) fn xor(&mut self, a: Bits<'_>, b: Bits<'_>) {
+        self.zip(a, b, |va, ua, vb, ub| {
+            let known = !ua & !ub;
+            ((va ^ vb) & known, !known)
+        });
+    }
+
+    /// The unknown-condition merge: bits identical in both planes
+    /// survive, disagreement is X (val 0, unknown 1).
+    pub(crate) fn merge(&mut self, a: Bits<'_>, b: Bits<'_>) {
+        self.zip(a, b, |va, ua, vb, ub| {
+            let same = !((va ^ vb) | (ua ^ ub));
+            (va & same, (ua & same) | !same)
+        });
+    }
+
+    /// Bitwise NOT.
+    pub(crate) fn not(&mut self, a: Bits<'_>) {
+        self.fill(|i| {
+            let (v, u) = a.word(i);
+            (!v & !u, u)
+        });
+    }
+
+    /// A word-wise arithmetic op on fully known operands: `f` sees the
+    /// val words in ascending order, so it may carry state. Any x or z
+    /// bit in either operand makes the whole result x.
+    fn arith(&mut self, a: Bits<'_>, b: Bits<'_>, mut f: impl FnMut(u64, u64) -> u64) {
+        if a.has_unknown() || b.has_unknown() {
+            return self.unknown();
+        }
+        self.fill(|i| (f(a.word(i).0, b.word(i).0), 0));
+    }
+
+    /// Addition modulo 2^width.
+    pub(crate) fn add(&mut self, a: Bits<'_>, b: Bits<'_>) {
+        let mut carry = false;
+        self.arith(a, b, |x, y| {
+            let (s, c1) = x.overflowing_add(y);
+            let (s, c2) = s.overflowing_add(carry as u64);
+            carry = c1 | c2;
+            s
+        });
+    }
+
+    /// Subtraction modulo 2^width (`a + !b + 1`).
+    pub(crate) fn sub(&mut self, a: Bits<'_>, b: Bits<'_>) {
+        let mut carry = true;
+        self.arith(a, b, |x, y| {
+            let (s, c1) = x.overflowing_add(!y);
+            let (s, c2) = s.overflowing_add(carry as u64);
+            carry = c1 | c2;
+            s
+        });
+    }
+
+    /// Two's-complement negation.
+    pub(crate) fn neg(&mut self, a: Bits<'_>) {
+        self.sub(Bits::zero(self.width), a);
+    }
+
+    /// Shifts `a` by a fully known `amount`; `left` picks the
+    /// direction. Vacated bits fill with zero, and an x or z anywhere in
+    /// either operand makes the result all-x.
+    fn shift(&mut self, a: Bits<'_>, amount: Bits<'_>, left: bool) {
+        if a.has_unknown() || amount.has_unknown() {
+            return self.unknown();
+        }
+        let s = amount.shift_amount();
+        if s >= self.width {
+            return self.clear();
+        }
+        let (ws, bs) = (s / 64, s % 64);
+        // Source word `i - k` (left) or `i + k` (right); words outside
+        // the operand read as zero.
+        let src = |i: usize, k: usize| -> u64 {
+            if left {
+                i.checked_sub(k).map_or(0, |j| a.word(j).0)
+            } else {
+                a.word(i + k).0
+            }
+        };
+        self.fill(|i| {
+            // The source word and its neighbour on the far side of the
+            // shift, joined so one u128 shift moves bits across the seam.
+            let (near, far) = (src(i, ws), src(i, ws + 1));
+            let word = if left {
+                (((u128::from(near) << 64) | u128::from(far)) << bs >> 64) as u64
+            } else {
+                (((u128::from(far) << 64) | u128::from(near)) >> bs) as u64
+            };
+            (word, 0)
+        });
+    }
+
+    /// Logical left shift.
+    pub(crate) fn shl(&mut self, a: Bits<'_>, amount: Bits<'_>) {
+        self.shift(a, amount, true);
+    }
+
+    /// Logical right shift.
+    pub(crate) fn shr(&mut self, a: Bits<'_>, amount: Bits<'_>) {
+        self.shift(a, amount, false);
+    }
+
+    /// ORs `src`'s planes in starting at bit `offset`; bits landing at
+    /// or above this width are dropped. Concatenation clears the
+    /// destination, then blits each part at its offset.
+    pub(crate) fn blit(&mut self, src: Bits<'_>, offset: usize) {
+        let (shift, word0) = (offset % 64, offset / 64);
+        let n = self.val.len();
+        let m = top_mask(self.width);
+        let mut or_word = |w: usize, v: u64, u: u64| {
+            if w < n {
+                let m = if w == n - 1 { m } else { u64::MAX };
+                self.val[w] |= v & m;
+                self.unk[w] |= u & m;
+            }
+        };
+        for i in 0..word_count(src.width) {
+            let (v, u) = src.word(i);
+            or_word(word0 + i, v << shift, u << shift);
+            // Bits of this source word that spill into the next
+            // destination word, if any.
+            let bits = (src.width - 64 * i).min(64);
+            if shift + bits > 64 {
+                or_word(word0 + i + 1, v >> (64 - shift), u >> (64 - shift));
+            }
+        }
     }
 }
 
@@ -199,82 +638,59 @@ pub struct Value {
 }
 
 impl Value {
-    /// Builds a canonical value from already-masked planes.
-    #[inline]
-    fn from_planes_small(width: usize, val: u64, unk: u64) -> Value {
-        debug_assert!((1..=64).contains(&width));
-        let m = top_mask(width);
-        Value {
-            width: width as u32,
-            repr: Repr::Small {
-                val: val & m,
-                unk: unk & m,
-            },
-        }
-    }
-
-    /// Builds a value word by word: `word(i)` yields the `(val, unk)`
-    /// pair of word `i`, called once per word in ascending order (so it
-    /// may carry state, e.g. an adder's carry). Wide results go straight
-    /// into one `Box<[u64]>` of `2n` words — one allocation, no
-    /// intermediate `Vec`s — and the top word is masked here.
-    #[inline]
-    fn from_word_fn(width: usize, mut word: impl FnMut(usize) -> (u64, u64)) -> Value {
-        assert!(width > 0, "zero-width value");
-        if width <= 64 {
-            let (v, u) = word(0);
-            return Value::from_planes_small(width, v, u);
-        }
-        let n = word_count(width);
-        let mut words = vec![0u64; 2 * n].into_boxed_slice();
-        let (val, unk) = words.split_at_mut(n);
-        for (i, (v, u)) in val.iter_mut().zip(unk.iter_mut()).enumerate() {
-            (*v, *u) = word(i);
-        }
-        let m = top_mask(width);
-        val[n - 1] &= m;
-        unk[n - 1] &= m;
-        Value {
-            width: width as u32,
-            repr: Repr::Wide(words),
-        }
-    }
-
-    /// All-zero planes of the given width.
+    /// All-zero planes of the given width: the one allocation a wide
+    /// value costs.
     fn zeros(width: usize) -> Value {
-        Value::from_word_fn(width, |_| (0, 0))
-    }
-
-    /// Word `i` of the val plane (zero beyond storage).
-    #[inline]
-    fn val_word(&self, i: usize) -> u64 {
-        match &self.repr {
-            Repr::Small { val, .. } => {
-                if i == 0 {
-                    *val
-                } else {
-                    0
-                }
-            }
-            Repr::Wide(w) => *w.get(i).unwrap_or(&0),
+        assert!(width > 0, "zero-width value");
+        let repr = if width <= 64 {
+            Repr::Small { val: 0, unk: 0 }
+        } else {
+            Repr::Wide(vec![0u64; 2 * word_count(width)].into_boxed_slice())
+        };
+        Value {
+            width: width as u32,
+            repr,
         }
     }
 
-    /// Word `i` of the unknown plane (zero beyond storage).
+    /// A fresh value of `width` bits written by one word kernel.
     #[inline]
-    fn unk_word(&self, i: usize) -> u64 {
+    fn build(width: usize, write: impl FnOnce(&mut BitsMut<'_>)) -> Value {
+        let mut out = Value::zeros(width);
+        write(&mut out.bits_mut());
+        out
+    }
+
+    /// A copy of the bits behind a view.
+    pub(crate) fn from_view(bits: Bits<'_>) -> Value {
+        Value::build(bits.width(), |o| o.copy(bits))
+    }
+
+    /// Borrows the planes.
+    #[inline]
+    pub(crate) fn bits(&self) -> Bits<'_> {
+        let width = self.width();
         match &self.repr {
-            Repr::Small { unk, .. } => {
-                if i == 0 {
-                    *unk
-                } else {
-                    0
-                }
-            }
-            Repr::Wide(w) => {
-                let n = w.len() / 2;
-                *w.get(n + i).unwrap_or(&0)
-            }
+            Repr::Small { val, unk } => Bits {
+                val: std::slice::from_ref(val),
+                unk: std::slice::from_ref(unk),
+                width,
+            },
+            Repr::Wide(words) => Bits::from_words(words, width),
+        }
+    }
+
+    /// Borrows the planes for writing in place.
+    #[inline]
+    pub(crate) fn bits_mut(&mut self) -> BitsMut<'_> {
+        let width = self.width();
+        match &mut self.repr {
+            Repr::Small { val, unk } => BitsMut {
+                val: std::slice::from_mut(val),
+                unk: std::slice::from_mut(unk),
+                width,
+            },
+            Repr::Wide(words) => BitsMut::from_words(words, width),
         }
     }
 
@@ -284,23 +700,29 @@ impl Value {
     ///
     /// Panics if `width` is zero.
     pub fn unknown(width: usize) -> Value {
-        Value::from_word_fn(width, |_| (0, u64::MAX))
+        Value::build(width, |o| o.unknown())
     }
 
     /// All-Z value of the given width.
     pub fn high_z(width: usize) -> Value {
-        Value::from_word_fn(width, |_| (u64::MAX, u64::MAX))
+        Value::build(width, |o| o.high_z())
     }
 
     /// From an unsigned integer, truncated/zero-extended to `width`.
     pub fn from_u64(v: u64, width: usize) -> Value {
-        Value::from_word_fn(width, |i| (if i == 0 { v } else { 0 }, 0))
+        Value::build(width, |o| o.set_u64(v))
     }
 
     /// A single-bit value.
     pub fn bit(b: Logic) -> Value {
         let (v, u) = b.planes();
-        Value::from_planes_small(1, v as u64, u as u64)
+        Value {
+            width: 1,
+            repr: Repr::Small {
+                val: v as u64,
+                unk: u as u64,
+            },
+        }
     }
 
     /// From a bit slice, LSB first.
@@ -309,24 +731,24 @@ impl Value {
     ///
     /// Panics if `bits` is empty.
     pub fn from_bits(bits: &[Logic]) -> Value {
-        assert!(!bits.is_empty(), "zero-width value");
-        let mut out = Value::zeros(bits.len());
-        for (i, b) in bits.iter().enumerate() {
-            out.set_bit(i, *b);
-        }
-        out
+        Value::build(bits.len(), |o| {
+            for (i, b) in bits.iter().enumerate() {
+                o.set(i, *b);
+            }
+        })
     }
 
     /// From a character string, MSB first (e.g. `"10xz"`).
     pub fn from_str_msb(s: &str) -> Option<Value> {
-        if s.is_empty() {
+        let bits = s
+            .chars()
+            .rev()
+            .map(Logic::from_char)
+            .collect::<Option<Vec<_>>>()?;
+        if bits.is_empty() {
             return None;
         }
-        let mut out = Value::zeros(s.chars().count());
-        for (i, c) in s.chars().rev().enumerate() {
-            out.set_bit(i, Logic::from_char(c)?);
-        }
-        Some(out)
+        Some(Value::from_bits(&bits))
     }
 
     /// Width in bits.
@@ -336,41 +758,18 @@ impl Value {
 
     /// Bit `i` (LSB = 0); X when out of range.
     pub fn get(&self, i: usize) -> Logic {
-        if i >= self.width() {
-            return Logic::X;
-        }
-        let (w, b) = (i / 64, i % 64);
-        Logic::from_planes(
-            (self.val_word(w) >> b) & 1 == 1,
-            (self.unk_word(w) >> b) & 1 == 1,
-        )
+        self.bits().get(i)
     }
 
     /// Sets bit `i`; out-of-range writes are ignored.
     pub fn set_bit(&mut self, i: usize, b: Logic) {
-        if i >= self.width() {
-            return;
-        }
-        let (v, u) = b.planes();
-        let (w, bit) = (i / 64, i % 64);
-        let m = 1u64 << bit;
-        match &mut self.repr {
-            Repr::Small { val, unk } => {
-                *val = (*val & !m) | if v { m } else { 0 };
-                *unk = (*unk & !m) | if u { m } else { 0 };
-            }
-            Repr::Wide(words) => {
-                let n = words.len() / 2;
-                words[w] = (words[w] & !m) | if v { m } else { 0 };
-                words[n + w] = (words[n + w] & !m) | if u { m } else { 0 };
-            }
-        }
+        self.bits_mut().set(i, b);
     }
 
     /// The bits as a vector, LSB first (materialized; the packed planes
     /// are the primary representation).
     pub fn to_bits(&self) -> Vec<Logic> {
-        (0..self.width()).map(|i| self.get(i)).collect()
+        self.iter_bits().collect()
     }
 
     /// Iterates the bits, LSB first.
@@ -383,7 +782,7 @@ impl Value {
         if width == self.width() {
             return self.clone();
         }
-        Value::from_word_fn(width, |i| (self.val_word(i), self.unk_word(i)))
+        Value::build(width, |o| o.copy(self.bits()))
     }
 
     /// [`Value::resized`] for an owned value: moves it through untouched
@@ -398,53 +797,35 @@ impl Value {
 
     /// True when any bit is x or z.
     pub fn has_unknown(&self) -> bool {
-        match &self.repr {
-            Repr::Small { unk, .. } => *unk != 0,
-            Repr::Wide(w) => w[w.len() / 2..].iter().any(|x| *x != 0),
-        }
+        self.bits().has_unknown()
     }
 
     /// Numeric interpretation, if fully known.
     pub fn as_u64(&self) -> Option<u64> {
-        if self.has_unknown() || self.width() > 64 {
-            return None;
+        if reference::active() {
+            return reference::as_u64(self);
         }
-        Some(self.val_word(0))
+        self.bits().as_u64()
     }
 
     /// Verilog truthiness: `Some(true)` when any bit is 1,
     /// `Some(false)` when all bits are 0, `None` (unknown) otherwise.
     pub fn truthy(&self) -> Option<bool> {
-        let n = word_count(self.width());
-        let mut any_unknown = false;
-        for i in 0..n {
-            let (v, u) = (self.val_word(i), self.unk_word(i));
-            if v & !u != 0 {
-                return Some(true); // a known 1 decides it
-            }
-            any_unknown |= u != 0;
+        if reference::active() {
+            return reference::truthy(self);
         }
-        if any_unknown {
-            None
-        } else {
-            Some(false)
-        }
+        self.bits().truthy()
     }
 
-    /// Applies a word-parallel binary op after zero-extending both
-    /// operands to the wider width. `f` maps `(val_a, unk_a, val_b,
-    /// unk_b)` to `(val_out, unk_out)`; out-of-range words read as
-    /// known-zero, matching the per-bit zero-extension semantics.
+    /// A binary word kernel at the wider operand's width.
     #[inline]
-    fn bitwise(&self, other: &Value, f: impl Fn(u64, u64, u64, u64) -> (u64, u64)) -> Value {
-        let w = self.width().max(other.width());
-        Value::from_word_fn(w, |i| {
-            f(
-                self.val_word(i),
-                self.unk_word(i),
-                other.val_word(i),
-                other.unk_word(i),
-            )
+    fn binary(
+        &self,
+        other: &Value,
+        op: impl FnOnce(&mut BitsMut<'_>, Bits<'_>, Bits<'_>),
+    ) -> Value {
+        Value::build(self.width().max(other.width()), |o| {
+            op(o, self.bits(), other.bits())
         })
     }
 
@@ -453,14 +834,7 @@ impl Value {
         if reference::active() {
             return reference::zip(self, other, Logic::and);
         }
-        self.bitwise(other, |va, ua, vb, ub| {
-            // Known 1 where both known-1; known 0 where either known-0;
-            // X everywhere else (z collapses to x through the unknown
-            // plane).
-            let one = (va & !ua) & (vb & !ub);
-            let zero = (!va & !ua) | (!vb & !ub);
-            (one, !(one | zero))
-        })
+        self.binary(other, |o, a, b| o.and(a, b))
     }
 
     /// Bitwise OR.
@@ -468,11 +842,7 @@ impl Value {
         if reference::active() {
             return reference::zip(self, other, Logic::or);
         }
-        self.bitwise(other, |va, ua, vb, ub| {
-            let one = (va & !ua) | (vb & !ub);
-            let zero = (!va & !ua) & (!vb & !ub);
-            (one, !(one | zero))
-        })
+        self.binary(other, |o, a, b| o.or(a, b))
     }
 
     /// Bitwise XOR.
@@ -480,21 +850,15 @@ impl Value {
         if reference::active() {
             return reference::zip(self, other, Logic::xor);
         }
-        self.bitwise(other, |va, ua, vb, ub| {
-            let known = !ua & !ub;
-            ((va ^ vb) & known, !known)
-        })
+        self.binary(other, |o, a, b| o.xor(a, b))
     }
 
     /// Bitwise NOT.
     pub fn not(&self) -> Value {
         if reference::active() {
-            return Value::from_bits(&self.to_bits().iter().map(|b| b.not()).collect::<Vec<_>>());
+            return reference::map(self, Logic::not);
         }
-        Value::from_word_fn(self.width(), |i| {
-            let (v, u) = (self.val_word(i), self.unk_word(i));
-            (!v & !u, u)
-        })
+        Value::build(self.width(), |o| o.not(self.bits()))
     }
 
     /// Case/logic equality returning a 1-bit value: `1` when equal, `0`
@@ -503,60 +867,23 @@ impl Value {
         if reference::active() {
             return reference::logic_eq(self, other);
         }
-        let w = self.width().max(other.width());
-        let n = word_count(w);
-        let mut any_unknown = false;
-        for i in 0..n {
-            let (va, ua) = (self.val_word(i), self.unk_word(i));
-            let (vb, ub) = (other.val_word(i), other.unk_word(i));
-            if (va ^ vb) & !(ua | ub) != 0 {
-                return Logic::Zero; // a known mismatch decides it
-            }
-            any_unknown |= (ua | ub) != 0;
-        }
-        if any_unknown {
-            Logic::X
-        } else {
-            Logic::One
-        }
+        self.bits().logic_eq(other.bits())
     }
 
     /// Reduction AND.
     pub fn reduce_and(&self) -> Logic {
         if reference::active() {
-            return self.to_bits().into_iter().fold(Logic::One, Logic::and);
+            return self.iter_bits().fold(Logic::One, Logic::and);
         }
-        let n = word_count(self.width());
-        let mut any_unknown = false;
-        for i in 0..n {
-            let (v, u) = (self.val_word(i), self.unk_word(i));
-            let in_range = if i == n - 1 {
-                top_mask(self.width())
-            } else {
-                u64::MAX
-            };
-            if !v & !u & in_range != 0 {
-                return Logic::Zero; // a known 0 dominates
-            }
-            any_unknown |= u != 0;
-        }
-        if any_unknown {
-            Logic::X
-        } else {
-            Logic::One
-        }
+        self.bits().reduce_and()
     }
 
     /// Reduction OR.
     pub fn reduce_or(&self) -> Logic {
         if reference::active() {
-            return self.to_bits().into_iter().fold(Logic::Zero, Logic::or);
+            return self.iter_bits().fold(Logic::Zero, Logic::or);
         }
-        match self.truthy() {
-            Some(true) => Logic::One,
-            Some(false) => Logic::Zero,
-            None => Logic::X,
-        }
+        self.bits().reduce_or()
     }
 
     /// The conditional-merge used when a ternary condition is unknown:
@@ -565,186 +892,88 @@ impl Value {
         if reference::active() {
             return reference::zip(self, other, |a, b| if a == b { a } else { Logic::X });
         }
-        self.bitwise(other, |va, ua, vb, ub| {
-            // Bits identical in both planes survive; disagreement is X
-            // (val 0, unknown 1).
-            let same = !((va ^ vb) | (ua ^ ub));
-            (va & same, (ua & same) | !same)
-        })
-    }
-
-    /// Applies a word-wise arithmetic op to fully known operands,
-    /// zero-extended to the wider width and truncated to it. `f` sees
-    /// the val words in ascending order, so it may carry state. Any x
-    /// or z bit in either operand makes the whole result x.
-    fn arith(&self, other: &Value, mut f: impl FnMut(u64, u64) -> u64) -> Value {
-        let w = self.width().max(other.width());
-        if self.has_unknown() || other.has_unknown() {
-            return Value::unknown(w);
-        }
-        Value::from_word_fn(w, |i| (f(self.val_word(i), other.val_word(i)), 0))
+        self.binary(other, |o, a, b| o.merge(a, b))
     }
 
     /// Addition modulo 2^w, `w` the wider operand's width (Verilog's
     /// truncation); all-x when any operand bit is x or z.
     pub fn add(&self, other: &Value) -> Value {
-        let mut carry = false;
-        self.arith(other, |a, b| {
-            let (s, c1) = a.overflowing_add(b);
-            let (s, c2) = s.overflowing_add(carry as u64);
-            carry = c1 | c2;
-            s
-        })
+        if reference::active() {
+            return reference::add(self, other, false);
+        }
+        self.binary(other, |o, a, b| o.add(a, b))
     }
 
     /// Subtraction modulo 2^w (`a + !b + 1`), `w` as for
     /// [`Value::add`]; all-x when any operand bit is x or z.
     pub fn sub(&self, other: &Value) -> Value {
-        let mut carry = true;
-        self.arith(other, |a, b| {
-            let (s, c1) = a.overflowing_add(!b);
-            let (s, c2) = s.overflowing_add(carry as u64);
-            carry = c1 | c2;
-            s
-        })
+        if reference::active() {
+            return reference::add(self, other, true);
+        }
+        self.binary(other, |o, a, b| o.sub(a, b))
     }
 
     /// Two's-complement negation at this value's width; all-x when any
     /// bit is x or z.
     pub fn neg(&self) -> Value {
-        Value::from_u64(0, self.width()).sub(self)
-    }
-
-    /// The value of a fully known shift amount, saturated to
-    /// `usize::MAX` when it does not fit.
-    fn shift_amount(&self) -> usize {
-        let n = word_count(self.width());
-        if (1..n).any(|i| self.val_word(i) != 0) {
-            return usize::MAX;
+        if reference::active() {
+            return reference::add(&Value::from_u64(0, self.width()), self, true);
         }
-        usize::try_from(self.val_word(0)).unwrap_or(usize::MAX)
-    }
-
-    /// Shifts by a fully known `amount` at width `w = max(widths)`;
-    /// `left` picks the direction. Vacated bits fill with zero, and an
-    /// x or z anywhere in either operand makes the result all-x.
-    fn shift(&self, amount: &Value, left: bool) -> Value {
-        let w = self.width().max(amount.width());
-        if self.has_unknown() || amount.has_unknown() {
-            return Value::unknown(w);
-        }
-        let s = amount.shift_amount();
-        if s >= w {
-            return Value::zeros(w);
-        }
-        let (ws, bs) = (s / 64, s % 64);
-        // Source word `i - k` (left) or `i + k` (right); words outside
-        // the operand read as zero.
-        let src = |i: usize, k: usize| -> u64 {
-            if left {
-                i.checked_sub(k).map_or(0, |j| self.val_word(j))
-            } else {
-                self.val_word(i + k)
-            }
-        };
-        Value::from_word_fn(w, |i| {
-            // The source word and its neighbour on the far side of the
-            // shift, joined so one u128 shift moves bits across the seam.
-            let (near, far) = (src(i, ws), src(i, ws + 1));
-            let word = if left {
-                (((u128::from(near) << 64) | u128::from(far)) << bs >> 64) as u64
-            } else {
-                (((u128::from(far) << 64) | u128::from(near)) >> bs) as u64
-            };
-            (word, 0)
-        })
+        Value::build(self.width(), |o| o.neg(self.bits()))
     }
 
     /// Logical left shift by `amount`, at the wider operand's width.
+    /// Vacated bits fill with zero; an x or z anywhere in either operand
+    /// makes the result all-x.
     pub fn shl(&self, amount: &Value) -> Value {
-        self.shift(amount, true)
+        if reference::active() {
+            return reference::shift(self, amount, true);
+        }
+        self.binary(amount, |o, a, b| o.shl(a, b))
     }
 
     /// Logical right shift by `amount`, at the wider operand's width.
     pub fn shr(&self, amount: &Value) -> Value {
-        self.shift(amount, false)
+        if reference::active() {
+            return reference::shift(self, amount, false);
+        }
+        self.binary(amount, |o, a, b| o.shr(a, b))
     }
 
     /// Unsigned comparison of zero-extended operands; `None` when any
     /// bit of either is x or z.
-    pub fn cmp_known(&self, other: &Value) -> Option<std::cmp::Ordering> {
-        if self.has_unknown() || other.has_unknown() {
-            return None;
+    pub fn cmp_known(&self, other: &Value) -> Option<Ordering> {
+        if reference::active() {
+            return reference::cmp_known(self, other);
         }
-        let n = word_count(self.width().max(other.width()));
-        Some(
-            (0..n)
-                .rev()
-                .map(|i| self.val_word(i).cmp(&other.val_word(i)))
-                .find(|o| o.is_ne())
-                .unwrap_or(std::cmp::Ordering::Equal),
-        )
+        self.bits().cmp_known(other.bits())
     }
 
     /// Concatenation, MSB-first operand order (the first item occupies
     /// the top bits), matching Verilog `{a, b}`. Items are read by
-    /// reference (`&Value`, or a `Cow` from the evaluator).
+    /// reference.
     ///
     /// # Panics
     ///
     /// Panics if `items` is empty.
     pub fn concat_msb<V: AsRef<Value>>(items: &[V]) -> Value {
+        if reference::active() {
+            let bits: Vec<Logic> = items
+                .iter()
+                .rev()
+                .flat_map(|v| v.as_ref().iter_bits())
+                .collect();
+            return Value::from_bits(&bits);
+        }
         let width: usize = items.iter().map(|v| v.as_ref().width()).sum();
-        assert!(width > 0, "zero-width concatenation");
-        let mut out = Value::zeros(width);
-        // Walk from the last operand (lowest bits) upward, OR-ing each
-        // operand's words in at its bit offset.
-        let mut offset = 0usize;
-        for item in items.iter().rev() {
-            let item = item.as_ref();
-            out.blit(item, offset);
-            offset += item.width();
-        }
-        out
-    }
-
-    /// ORs `src`'s planes into `self` starting at bit `offset`. The
-    /// destination bits must be zero (fresh from [`Value::zeros`]).
-    fn blit(&mut self, src: &Value, offset: usize) {
-        let (shift, word0) = (offset % 64, offset / 64);
-        let src_words = word_count(src.width());
-        for i in 0..src_words {
-            let (v, u) = (src.val_word(i), src.unk_word(i));
-            self.or_word(word0 + i, v << shift, u << shift);
-            if shift != 0 {
-                self.or_word(word0 + i + 1, v >> (64 - shift), u >> (64 - shift));
+        Value::build(width, |o| {
+            // Walk from the last operand (lowest bits) upward.
+            let mut offset = 0;
+            for item in items.iter().rev() {
+                o.blit(item.as_ref().bits(), offset);
+                offset += item.as_ref().width();
             }
-        }
-    }
-
-    /// ORs one word into both planes at word index `w` (ignoring
-    /// out-of-range spill).
-    fn or_word(&mut self, w: usize, v: u64, u: u64) {
-        match &mut self.repr {
-            Repr::Small { val, unk } => {
-                if w == 0 {
-                    *val |= v & top_mask(self.width as usize);
-                    *unk |= u & top_mask(self.width as usize);
-                }
-            }
-            Repr::Wide(words) => {
-                let n = words.len() / 2;
-                if w < n {
-                    let m = if w == n - 1 {
-                        top_mask(self.width as usize)
-                    } else {
-                        u64::MAX
-                    };
-                    words[w] |= v & m;
-                    words[n + w] |= u & m;
-                }
-            }
-        }
+        })
     }
 
     /// MSB-first rendering (`4'b10xz` prints as `10xz`).
@@ -770,17 +999,19 @@ impl fmt::Display for Value {
 
 /// The retained per-bit reference path.
 ///
-/// Every packed truth-table op ([`Value::and`], [`Value::or`],
-/// [`Value::xor`], [`Value::not`], [`Value::logic_eq`],
-/// [`Value::merge`], the reductions) checks a thread-local flag and,
-/// when [`reference::force`] is active on the calling thread, routes
-/// through the original per-bit [`Logic`]-table implementation instead
-/// of the plane arithmetic. Tests use this to demand byte-identical
-/// waveforms from the two paths; benches use it as the baseline for the
-/// packed speedup.
+/// Every [`Value`] operator — the truth-table ops, the reductions,
+/// truthiness, the arithmetic, shifts, comparisons and concatenation —
+/// checks a thread-local flag and, while [`reference::force`] is active
+/// on the calling thread, routes through a per-bit implementation over
+/// [`Logic`] values instead of the plane arithmetic. The kernel's
+/// expression executor checks the flag once per settle and then runs
+/// every instruction through those operators. Tests use this to demand
+/// byte-identical waveforms from the two paths; benches use it as the
+/// baseline for the packed speedup.
 pub mod reference {
     use super::{Logic, Value};
     use std::cell::Cell;
+    use std::cmp::Ordering;
 
     thread_local! {
         static FORCED: Cell<bool> = const { Cell::new(false) };
@@ -805,30 +1036,49 @@ pub mod reference {
     }
 
     /// Forces the per-bit reference implementation for all [`Value`]
-    /// truth-table ops on the current thread until the guard drops.
+    /// operators on the current thread until the guard drops.
     pub fn force() -> Guard {
         let prev = FORCED.with(|f| f.replace(true));
         Guard { prev }
     }
 
-    /// Per-bit zip over zero-extended operands — the original
-    /// `Vec<Logic>` implementation.
-    pub(super) fn zip(a: &Value, b: &Value, f: fn(Logic, Logic) -> Logic) -> Value {
-        let w = a.width().max(b.width());
-        let av = a.resized(w);
-        let bv = b.resized(w);
-        let bits: Vec<Logic> = (0..w).map(|i| f(av.get(i), bv.get(i))).collect();
+    /// Bit `i` of `v` zero-extended.
+    fn bit(v: &Value, i: usize) -> Logic {
+        if i < v.width() {
+            v.get(i)
+        } else {
+            Logic::Zero
+        }
+    }
+
+    fn known(v: &Value) -> bool {
+        v.iter_bits().all(|b| !b.is_unknown())
+    }
+
+    fn from_bools(w: usize, f: impl Fn(usize) -> bool) -> Value {
+        let bits: Vec<Logic> = (0..w)
+            .map(|i| if f(i) { Logic::One } else { Logic::Zero })
+            .collect();
         Value::from_bits(&bits)
     }
 
-    /// Per-bit case equality — the original scan.
-    pub(super) fn logic_eq(a: &Value, b: &Value) -> Logic {
+    /// Per-bit zip over zero-extended operands.
+    pub(super) fn zip(a: &Value, b: &Value, f: fn(Logic, Logic) -> Logic) -> Value {
         let w = a.width().max(b.width());
-        let av = a.resized(w);
-        let bv = b.resized(w);
+        let bits: Vec<Logic> = (0..w).map(|i| f(bit(a, i), bit(b, i))).collect();
+        Value::from_bits(&bits)
+    }
+
+    /// Per-bit map.
+    pub(super) fn map(a: &Value, f: fn(Logic) -> Logic) -> Value {
+        Value::from_bits(&a.iter_bits().map(f).collect::<Vec<_>>())
+    }
+
+    /// Per-bit case equality.
+    pub(super) fn logic_eq(a: &Value, b: &Value) -> Logic {
         let mut unknown = false;
-        for i in 0..w {
-            let (x, y) = (av.get(i), bv.get(i));
+        for i in 0..a.width().max(b.width()) {
+            let (x, y) = (bit(a, i), bit(b, i));
             if x.is_unknown() || y.is_unknown() {
                 unknown = true;
             } else if x != y {
@@ -840,6 +1090,90 @@ pub mod reference {
         } else {
             Logic::One
         }
+    }
+
+    /// Per-bit truthiness.
+    pub(super) fn truthy(a: &Value) -> Option<bool> {
+        if a.iter_bits().any(|b| b == Logic::One) {
+            Some(true)
+        } else if known(a) {
+            Some(false)
+        } else {
+            None
+        }
+    }
+
+    /// Per-bit numeric reading: `None` for unknowns or above 64 bits.
+    pub(super) fn as_u64(a: &Value) -> Option<u64> {
+        if a.width() > 64 || !known(a) {
+            return None;
+        }
+        Some(
+            a.iter_bits()
+                .enumerate()
+                .fold(0, |acc, (i, b)| acc | (u64::from(b == Logic::One) << i)),
+        )
+    }
+
+    /// Ripple-carry `a + b` (or `a - b` as `a + !b + 1` when
+    /// `subtract`) at the wider width; all-x on any unknown bit.
+    pub(super) fn add(a: &Value, b: &Value, subtract: bool) -> Value {
+        let w = a.width().max(b.width());
+        if !known(a) || !known(b) {
+            return Value::from_bits(&vec![Logic::X; w]);
+        }
+        let mut carry = subtract;
+        let sum: Vec<bool> = (0..w)
+            .map(|i| {
+                let x = bit(a, i) == Logic::One;
+                let y = (bit(b, i) == Logic::One) != subtract;
+                let s = x ^ y ^ carry;
+                carry = (x & y) | (carry & (x ^ y));
+                s
+            })
+            .collect();
+        from_bools(w, |i| sum[i])
+    }
+
+    /// Per-bit logical shift at the wider width; all-x on any unknown.
+    pub(super) fn shift(a: &Value, amount: &Value, left: bool) -> Value {
+        let w = a.width().max(amount.width());
+        if !known(a) || !known(amount) {
+            return Value::from_bits(&vec![Logic::X; w]);
+        }
+        // The amount, `None` when it does not fit a `usize`.
+        let s = amount
+            .iter_bits()
+            .enumerate()
+            .filter(|(_, b)| *b == Logic::One)
+            .try_fold(0usize, |acc, (i, _)| {
+                u32::try_from(i)
+                    .ok()
+                    .and_then(|i| 1usize.checked_shl(i))
+                    .map(|m| acc | m)
+            });
+        from_bools(w, |i| {
+            let src = match s {
+                Some(s) if left => i.checked_sub(s),
+                Some(s) => i.checked_add(s),
+                None => None,
+            };
+            src.is_some_and(|j| bit(a, j) == Logic::One)
+        })
+    }
+
+    /// Per-bit unsigned comparison, most significant bit first.
+    pub(super) fn cmp_known(a: &Value, b: &Value) -> Option<Ordering> {
+        if !known(a) || !known(b) {
+            return None;
+        }
+        Some(
+            (0..a.width().max(b.width()))
+                .rev()
+                .map(|i| bit(a, i).cmp(&bit(b, i)))
+                .find(|o| o.is_ne())
+                .unwrap_or(Ordering::Equal),
+        )
     }
 }
 

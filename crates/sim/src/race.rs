@@ -12,14 +12,20 @@
 //! `Send`, and the circuit is shared through one [`Arc`] — with the
 //! workspace's one work-stealing executor, [`interop_core::par`]. Both
 //! produce identical, deterministically ordered results.
+//!
+//! The sweeps consume their kernels: the histories of diverging signals
+//! are moved out of the finished waveforms, and the histories of every
+//! other signal are compared by reference and never copied. [`compare`]
+//! shares the same history walk over borrowed kernels and clones only
+//! the diverging histories.
 
-use std::collections::BTreeMap;
+use std::borrow::Borrow;
 use std::sync::Arc;
 
 use interop_core::par::par_map;
 
 use crate::elab::{Circuit, SigId};
-use crate::kernel::{Kernel, SchedulerPolicy, SimError};
+use crate::kernel::{ChangeIndex, Kernel, SchedulerPolicy, SimError, Waveform};
 use crate::logic::{Logic, Value};
 
 /// One diverging signal.
@@ -71,35 +77,93 @@ pub fn detect(
 
 /// Compares already-run kernels (which must share a circuit layout).
 /// Each waveform is indexed once, so the whole comparison costs
-/// O(total changes) instead of O(signals × changes).
+/// O(total changes) instead of O(signals × changes); only the histories
+/// of diverging signals are copied into the report.
 pub fn compare(kernels: &[Kernel]) -> RaceReport {
-    let mut report = RaceReport {
-        policies: kernels.iter().map(|k| k.policy().name).collect(),
-        diverging: Vec::new(),
-    };
+    let policies = kernels.iter().map(|k| k.policy().name).collect();
     let Some(first) = kernels.first() else {
-        return report;
+        return RaceReport {
+            policies,
+            diverging: Vec::new(),
+        };
     };
-    let signal_count = first.circuit().signal_count();
-    let indexed: Vec<_> = kernels
+    let mut waves: Vec<&Waveform> = kernels.iter().map(Kernel::waveform).collect();
+    walk(first.circuit(), policies, &mut waves, |w, i| {
+        let (t, _, v) = &w.changes[i];
+        (*t, v.clone())
+    })
+}
+
+/// [`compare`] over finished kernels' waveforms, consuming them: the
+/// diverging histories are moved out of the logs, not cloned.
+fn compare_owned(
+    circuit: &Circuit,
+    policies: Vec<&'static str>,
+    mut waves: Vec<Waveform>,
+) -> RaceReport {
+    walk(circuit, policies, &mut waves, |w, i| {
+        let (t, _, v) = &mut w.changes[i];
+        (*t, std::mem::replace(v, Value::bit(Logic::X)))
+    })
+}
+
+/// The history walk shared by [`compare`] and the sweeps. Each
+/// waveform is indexed once; then, signal by signal, every waveform's
+/// collapsed history is compared by reference with the first one's, and
+/// only a diverging signal's entries are fetched, through `take(wave,
+/// position)`, while they are still in cache.
+fn walk<W: Borrow<Waveform>>(
+    circuit: &Circuit,
+    policies: Vec<&'static str>,
+    waves: &mut [W],
+    mut take: impl FnMut(&mut W, usize) -> (u64, Value),
+) -> RaceReport {
+    let signal_count = circuit.signal_count();
+    let indexes: Vec<ChangeIndex> = waves
         .iter()
-        .map(|k| k.waveform().indexed(signal_count))
+        .map(|w| ChangeIndex::new(w.borrow(), signal_count))
         .collect();
+    // Each waveform's collapsed positions of the current signal, in
+    // buffers reused across signals.
+    let mut lists: Vec<Vec<u32>> = vec![Vec::new(); waves.len()];
+    let mut diverging = Vec::new();
     for sig in 0..signal_count {
-        let histories: Vec<(&'static str, Vec<(u64, Value)>)> = kernels
-            .iter()
-            .zip(&indexed)
-            .map(|(k, idx)| (k.policy().name, idx.history(sig)))
-            .collect();
-        let all_same = histories.windows(2).all(|w| w[0].1 == w[1].1);
-        if !all_same {
-            report.diverging.push(Divergence {
-                signal: first.circuit().signals[sig].name.clone(),
-                histories,
-            });
+        for ((list, index), w) in lists.iter_mut().zip(&indexes).zip(waves.iter()) {
+            list.clear();
+            list.extend(index.history(w.borrow(), sig).map(|(i, _, _)| i));
         }
+        let entry = |k: usize, i: u32| {
+            let (t, _, v) = &waves[k].borrow().changes[i as usize];
+            (t, v)
+        };
+        let same = lists.iter().enumerate().skip(1).all(|(k, list)| {
+            list.len() == lists[0].len()
+                && list
+                    .iter()
+                    .zip(&lists[0])
+                    .all(|(&i, &j)| entry(k, i) == entry(0, j))
+        });
+        if same {
+            continue;
+        }
+        let histories = policies
+            .iter()
+            .zip(waves.iter_mut())
+            .zip(&lists)
+            .map(|((policy, w), list)| {
+                let history = list.iter().map(|&i| take(w, i as usize)).collect();
+                (*policy, history)
+            })
+            .collect();
+        diverging.push(Divergence {
+            signal: circuit.signals[sig].name.clone(),
+            histories,
+        });
     }
-    report
+    RaceReport {
+        policies,
+        diverging,
+    }
 }
 
 /// Canonical example models used by tests, examples, and benches.
@@ -151,6 +215,106 @@ pub mod models {
           end
           always @(posedge clk) x <= d;
           always @(posedge clk) y <= x;
+        endmodule
+    "#;
+
+    /// A deliberately busy model for the kernel-throughput experiments
+    /// and the `race_sweep` benchmark: a combinational gate chain
+    /// feeding a 70-bit concat bus, a chain of wide plane ops over
+    /// 70/140/280-bit vectors, reductions back down to scalars, and two
+    /// clocked registers — so one clock cycle exercises scalar ops, wide
+    /// word-parallel ops, NBA commits, and watcher fan-out.
+    pub const BUSY: &str = r#"
+        module busy(input clk, input d, output reg q, output reg [15:0] acc);
+          wire g0; wire g1; wire g2; wire g3; wire g4; wire g5;
+          wire g6; wire g7; wire g8; wire g9;
+          assign g0 = d ^ clk;
+          assign g1 = ~g0;
+          assign g2 = g0 & g1;
+          assign g3 = g0 | g2;
+          assign g4 = g3 ^ g1;
+          assign g5 = ~g4;
+          assign g6 = g5 & d;
+          assign g7 = g6 | g4;
+          assign g8 = g7 ^ g5;
+          assign g9 = ~g8;
+          wire [69:0] bus;
+          wire [69:0] busn;
+          wire [69:0] busx;
+          wire [69:0] busa;
+          wire [69:0] buso;
+          wire [139:0] wide;
+          wire [139:0] widen;
+          wire [139:0] widex;
+          wire [279:0] huge;
+          wire [279:0] hugen;
+          wire [279:0] hugea;
+          wire [279:0] hugeo;
+          wire [279:0] hugex;
+          wire ra; wire ro;
+          assign bus = {g0, g1, g2, g3, g4, g5, g6, g7, g8, g9,
+                        g0, g1, g2, g3, g4, g5, g6, g7, g8, g9,
+                        g0, g1, g2, g3, g4, g5, g6, g7, g8, g9,
+                        g0, g1, g2, g3, g4, g5, g6, g7, g8, g9,
+                        g0, g1, g2, g3, g4, g5, g6, g7, g8, g9,
+                        g0, g1, g2, g3, g4, g5, g6, g7, g8, g9,
+                        g0, g1, g2, g3, g4, g5, g6, g7, g8, g9};
+          assign busn = ~bus;
+          assign busx = bus ^ busn;
+          assign busa = bus & busx;
+          assign buso = busa | busn;
+          assign wide = {bus, busn};
+          assign widen = ~wide;
+          assign widex = wide ^ widen;
+          assign huge = {widex, widen};
+          assign hugen = ~huge;
+          assign hugea = huge & hugen;
+          assign hugeo = hugea | huge;
+          assign hugex = hugeo ^ hugen;
+          assign ra = &hugex;
+          assign ro = |buso;
+          initial begin
+            q = 0;
+            acc = 0;
+          end
+          always @(posedge clk) q <= g9 ^ ra ^ ro;
+          always @(posedge clk) acc <= acc + 1;
+        endmodule
+    "#;
+
+    /// Bit-select writes and blocking assignments: a shift register
+    /// filled one bit at a time through a moving index, an index read in
+    /// a continuous assignment, a bit-select continuous driver, a second
+    /// process that reads (with a blocking write) what the first writes,
+    /// and a `case` on the index. The same model is pinned by the golden
+    /// kernel digests (`tests/sim_golden.rs`).
+    pub const BITS: &str = r#"
+        module bits(input clk, input d, output reg [7:0] sh, output reg [2:0] i,
+                    output reg seen, output [3:0] nib);
+          wire [7:0] inv;
+          wire pick;
+          assign inv = ~sh;
+          assign pick = sh[i];
+          assign nib[2] = pick ^ inv[0];
+          initial begin
+            sh = 0;
+            i = 0;
+            seen = 0;
+          end
+          always @(posedge clk) begin
+            sh[i] = d;
+            i = i + 1;
+            if (i == 4)
+              sh[7] = ~d;
+          end
+          always @(posedge clk) seen = pick;
+          always @(negedge clk) begin
+            case (i)
+              1: sh[6] = sh[0];
+              5: sh[1] = inv[2];
+              default: seen = ~seen;
+            endcase
+          end
         endmodule
     "#;
 }
@@ -231,24 +395,48 @@ impl Stim {
     /// Applies the stimulus to a kernel: all pokes sharing a timestamp
     /// land before that time slot settles (matching how a closure
     /// testbench pokes then runs), and the kernel finally settles at
-    /// `run_to`. Every distinct signal name is resolved exactly once.
+    /// `run_to`. Every signal name is resolved before anything runs.
     ///
     /// # Errors
     ///
     /// Fails on unknown signal names or simulation runaway.
     pub fn apply(&self, kernel: &mut Kernel) -> Result<(), SimError> {
-        let mut ids: BTreeMap<&str, SigId> = BTreeMap::new();
-        for (_, name, _) in &self.events {
-            if !ids.contains_key(name.as_str()) {
-                ids.insert(name, kernel.lookup(name)?);
-            }
-        }
+        self.resolve(kernel.circuit())?.apply(kernel)
+    }
+
+    /// Resolves every event's signal name against `circuit`, failing on
+    /// the first unknown name.
+    fn resolve(&self, circuit: &Circuit) -> Result<Resolved<'_>, SimError> {
+        let events = self
+            .events
+            .iter()
+            .map(|(t, name, v)| match circuit.signal(name) {
+                Some(sig) => Ok((*t, sig, v)),
+                None => Err(SimError::NoSuchSignal { name: name.clone() }),
+            })
+            .collect::<Result<_, _>>()?;
+        Ok(Resolved {
+            events,
+            run_to: self.run_to,
+        })
+    }
+}
+
+/// A [`Stim`] with its signal names resolved against one circuit, so a
+/// sweep cell resolves once and replays the result under every policy.
+struct Resolved<'a> {
+    events: Vec<(u64, SigId, &'a Value)>,
+    run_to: u64,
+}
+
+impl Resolved<'_> {
+    fn apply(&self, kernel: &mut Kernel) -> Result<(), SimError> {
         let mut i = 0;
         while i < self.events.len() {
             let t = self.events[i].0;
             while i < self.events.len() && self.events[i].0 == t {
-                let (_, name, v) = &self.events[i];
-                kernel.poke(ids[name.as_str()], v.clone());
+                let (_, sig, v) = self.events[i];
+                kernel.poke_ref(sig, v);
                 i += 1;
             }
             kernel.run_until(t)?;
@@ -289,15 +477,17 @@ fn sweep_one(
     policies: &[SchedulerPolicy],
     stim: &Stim,
 ) -> Result<SweepResult, SimError> {
-    let mut kernels = Vec::with_capacity(policies.len());
+    let resolved = stim.resolve(circuit)?;
+    let mut waves = Vec::with_capacity(policies.len());
     for policy in policies {
         let mut k = Kernel::new_shared(Arc::clone(circuit), *policy);
-        stim.apply(&mut k)?;
-        kernels.push(k);
+        resolved.apply(&mut k)?;
+        waves.push(k.into_waveform());
     }
+    let names = policies.iter().map(|p| p.name).collect();
     Ok(SweepResult {
         stim: stim.name.clone(),
-        report: compare(&kernels),
+        report: compare_owned(circuit, names, waves),
     })
 }
 

@@ -371,3 +371,370 @@ mod sweep_props {
         }
     }
 }
+
+/// Differential test of the compiled expression executor: random
+/// expression trees over the width spectrum, compiled from Verilog
+/// source and run by the kernel, must equal the same trees evaluated
+/// with the per-bit reference operators — in packed and in reference
+/// mode.
+mod compiled_vs_reference {
+    use super::*;
+    use sim::elab::compile_unit;
+    use sim::kernel::{Kernel, SchedulerPolicy};
+    use sim::logic::reference;
+
+    /// One input signal `i{k}` per width.
+    const WIDTHS: [usize; 7] = [1, 7, 63, 64, 65, 140, 280];
+
+    /// A small deterministic generator driven by one proptest seed.
+    struct Gen(u64);
+
+    impl Gen {
+        fn next(&mut self) -> u64 {
+            // splitmix64
+            self.0 = self.0.wrapping_add(0x9e37_79b9_7f4a_7c15);
+            let mut z = self.0;
+            z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
+            z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
+            z ^ (z >> 31)
+        }
+
+        fn below(&mut self, n: usize) -> usize {
+            (self.next() % n as u64) as usize
+        }
+
+        /// A value of `width` bits: fully known four times in five —
+        /// random, all ones (carries run through every word) or one-hot
+        /// — so arithmetic sees known operands; otherwise salted with x
+        /// and z.
+        fn value(&mut self, width: usize) -> Value {
+            let mode = self.below(5);
+            let hot = self.below(width);
+            let bits: Vec<Logic> = (0..width)
+                .map(|i| match mode {
+                    0 => [Logic::Zero, Logic::One, Logic::X, Logic::Z][self.below(4)],
+                    1 => Logic::One,
+                    2 if i == hot => Logic::One,
+                    2 => Logic::Zero,
+                    _ => [Logic::Zero, Logic::One][self.below(2)],
+                })
+                .collect();
+            Value::from_bits(&bits)
+        }
+
+        /// A small constant, for shift amounts and bit indices: usually
+        /// in range, sometimes beyond every width, sometimes x.
+        fn small(&mut self) -> Value {
+            match self.below(8) {
+                0 => Value::from_str_msb("1x0").expect("valid"),
+                1 => Value::from_u64(300 + self.next() % 200, 10),
+                _ => Value::from_u64(self.next() % 70, 8),
+            }
+        }
+    }
+
+    #[derive(Debug)]
+    enum Tree {
+        Input(usize),
+        Const(Value),
+        Unary(&'static str, Box<Tree>),
+        Binary(&'static str, Box<Tree>, Box<Tree>),
+        Ternary(Box<Tree>, Box<Tree>, Box<Tree>),
+        Concat(Vec<Tree>),
+        Bit(usize, Box<Tree>),
+    }
+
+    const UNARY: [&str; 5] = ["~", "!", "-", "&", "|"];
+    const BINARY: [&str; 18] = [
+        "&", "|", "^", "&&", "||", "==", "!=", "<", ">", "<=", ">=", "+", "-", "<<", ">>", "*",
+        "/", "%",
+    ];
+
+    fn tree(g: &mut Gen, depth: usize) -> Tree {
+        if depth == 0 || g.below(5) == 0 {
+            return match g.below(4) {
+                0 | 1 => Tree::Input(g.below(WIDTHS.len())),
+                2 => {
+                    let w = WIDTHS[g.below(WIDTHS.len())];
+                    Tree::Const(g.value(w))
+                }
+                _ => Tree::Const(g.small()),
+            };
+        }
+        let sub = |g: &mut Gen| Box::new(tree(g, depth - 1));
+        match g.below(7) {
+            0 => Tree::Unary(UNARY[g.below(UNARY.len())], sub(g)),
+            1..=3 => {
+                let op = BINARY[g.below(BINARY.len())];
+                let a = sub(g);
+                // Shift amounts are mostly small constants.
+                let b = if op.starts_with(['<', '>']) && op.len() == 2 && g.below(2) == 0 {
+                    Box::new(Tree::Const(g.small()))
+                } else {
+                    sub(g)
+                };
+                Tree::Binary(op, a, b)
+            }
+            4 => Tree::Ternary(sub(g), sub(g), sub(g)),
+            5 => Tree::Concat((0..2 + g.below(2)).map(|_| tree(g, depth - 1)).collect()),
+            _ => {
+                let index = if g.below(3) == 0 {
+                    sub(g)
+                } else {
+                    Box::new(Tree::Const(g.small()))
+                };
+                Tree::Bit(g.below(WIDTHS.len()), index)
+            }
+        }
+    }
+
+    /// Fully parenthesized Verilog.
+    fn render(t: &Tree) -> String {
+        match t {
+            Tree::Input(k) => format!("i{k}"),
+            Tree::Const(v) => format!("{}'b{}", v.width(), v.to_string_msb()),
+            Tree::Unary(op, a) => format!("{op}({})", render(a)),
+            Tree::Binary(op, a, b) => format!("({}) {op} ({})", render(a), render(b)),
+            Tree::Ternary(c, a, b) => {
+                format!("({}) ? ({}) : ({})", render(c), render(a), render(b))
+            }
+            Tree::Concat(parts) => {
+                let parts: Vec<String> = parts.iter().map(render).collect();
+                format!("{{{}}}", parts.join(", "))
+            }
+            Tree::Bit(k, i) => format!("i{k}[{}]", render(i)),
+        }
+    }
+
+    fn bit(b: Option<bool>) -> Value {
+        Value::bit(match b {
+            Some(true) => Logic::One,
+            Some(false) => Logic::Zero,
+            None => Logic::X,
+        })
+    }
+
+    /// Verilog's expression semantics restated over the public
+    /// [`Value`] operators, which run per-bit under the reference guard.
+    fn oracle(t: &Tree, inputs: &[Value]) -> Value {
+        let eval = |t: &Tree| oracle(t, inputs);
+        match t {
+            Tree::Input(k) => inputs[*k].clone(),
+            Tree::Const(v) => v.clone(),
+            Tree::Unary(op, a) => {
+                let a = eval(a);
+                match *op {
+                    "~" => a.not(),
+                    "!" => bit(a.truthy().map(|b| !b)),
+                    "-" => a.neg(),
+                    "&" => Value::bit(a.reduce_and()),
+                    _ => Value::bit(a.reduce_or()),
+                }
+            }
+            Tree::Binary(op, a, b) => {
+                let (a, b) = (eval(a), eval(b));
+                let w = a.width().max(b.width());
+                let order = |f: fn(std::cmp::Ordering) -> bool| bit(a.cmp_known(&b).map(f));
+                match *op {
+                    "&" => a.and(&b),
+                    "|" => a.or(&b),
+                    "^" => a.xor(&b),
+                    "&&" => match (a.truthy(), b.truthy()) {
+                        (Some(false), _) | (_, Some(false)) => bit(Some(false)),
+                        (Some(true), Some(true)) => bit(Some(true)),
+                        _ => bit(None),
+                    },
+                    "||" => match (a.truthy(), b.truthy()) {
+                        (Some(true), _) | (_, Some(true)) => bit(Some(true)),
+                        (Some(false), Some(false)) => bit(Some(false)),
+                        _ => bit(None),
+                    },
+                    "==" => Value::bit(a.logic_eq(&b)),
+                    "!=" => Value::bit(a.logic_eq(&b).not()),
+                    "<" => order(|o| o.is_lt()),
+                    ">" => order(|o| o.is_gt()),
+                    "<=" => order(|o| o.is_le()),
+                    ">=" => order(|o| o.is_ge()),
+                    "+" => a.add(&b),
+                    "-" => a.sub(&b),
+                    "<<" => a.shl(&b),
+                    ">>" => a.shr(&b),
+                    _ => {
+                        let r = match (a.as_u64(), b.as_u64()) {
+                            (Some(x), Some(y)) => match *op {
+                                "*" => Some(x.wrapping_mul(y)),
+                                "/" => x.checked_div(y),
+                                _ => x.checked_rem(y),
+                            },
+                            _ => None,
+                        };
+                        r.map_or_else(|| Value::unknown(w), |v| Value::from_u64(v, w))
+                    }
+                }
+            }
+            Tree::Ternary(c, a, b) => {
+                let (a, b) = (eval(a), eval(b));
+                let w = a.width().max(b.width());
+                match eval(c).truthy() {
+                    Some(true) => a.resized(w),
+                    Some(false) => b.resized(w),
+                    None => a.merge(&b),
+                }
+            }
+            Tree::Concat(parts) => {
+                let parts: Vec<Value> = parts.iter().map(eval).collect();
+                Value::concat_msb(&parts)
+            }
+            Tree::Bit(k, i) => match eval(i).as_u64() {
+                Some(i) => Value::bit(inputs[*k].get(usize::try_from(i).unwrap_or(usize::MAX))),
+                None => bit(None),
+            },
+        }
+    }
+
+    /// Compiles `assign o = expr;` and reads `o` after one settle.
+    fn simulate(expr: &str, width: usize, inputs: &[Value]) -> Value {
+        let ports: Vec<String> = WIDTHS
+            .iter()
+            .enumerate()
+            .map(|(k, w)| format!("input [{}:0] i{k}", w - 1))
+            .collect();
+        let src = format!(
+            "module t({}, output [{}:0] o);\n  assign o = {expr};\nendmodule",
+            ports.join(", "),
+            width - 1
+        );
+        let unit = hdl::parse(&src).expect("generated source parses");
+        let mut k = Kernel::new(
+            compile_unit(&unit, "t").expect("elab"),
+            SchedulerPolicy::sim_a(),
+        );
+        for (i, v) in inputs.iter().enumerate() {
+            k.poke_name(&format!("i{i}"), v.clone()).expect("input");
+        }
+        k.run_until(0).expect("settles");
+        k.peek_name("o").expect("o").clone()
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(256))]
+
+        #[test]
+        fn compiled_expressions_match_the_per_bit_reference(seed in any::<u64>()) {
+            let mut g = Gen(seed);
+            let t = tree(&mut g, 3);
+            let inputs: Vec<Value> = WIDTHS.iter().map(|&w| g.value(w)).collect();
+            let want = {
+                let _guard = reference::force();
+                oracle(&t, &inputs)
+            };
+            let expr = render(&t);
+            let packed = simulate(&expr, want.width(), &inputs);
+            prop_assert_eq!(&packed, &want, "packed: {}", expr);
+            let per_bit = {
+                let _guard = reference::force();
+                simulate(&expr, want.width(), &inputs)
+            };
+            prop_assert_eq!(&per_bit, &want, "reference mode: {}", expr);
+        }
+    }
+    /// Word-boundary operands the random trees rarely produce together:
+    /// all ones (a carry or borrow through every word), one-hot at
+    /// either end, zero, and salted with unknowns — for every width
+    /// pair and every word-wise operator.
+    #[test]
+    fn word_edge_operands_match_the_per_bit_reference() {
+        let patterns = |w: usize| {
+            let with_top = |v: &Value, b: Logic| {
+                let mut v = v.clone();
+                v.set_bit(w - 1, b);
+                v
+            };
+            let zero = Value::from_u64(0, w);
+            [
+                Value::from_bits(&vec![Logic::One; w]),
+                Value::from_u64(1, w),
+                with_top(&zero, Logic::One),
+                zero,
+                Value::from_u64(3, w),
+                with_top(&Value::from_u64(5, w), Logic::Z),
+            ]
+        };
+        for op in ["+", "-", "<<", ">>", "<", ">=", "==", "*", "%", "&", "^"] {
+            for &wa in &WIDTHS {
+                for &wb in &WIDTHS {
+                    let src = format!(
+                        "module t(input [{}:0] a, input [{}:0] b, output [{}:0] o);\n\
+                         \x20 assign o = a {op} b;\nendmodule",
+                        wa - 1,
+                        wb - 1,
+                        wa.max(wb) - 1
+                    );
+                    let unit = hdl::parse(&src).expect("parses");
+                    let circuit = compile_unit(&unit, "t").expect("elab");
+                    let mut k = Kernel::new(circuit, SchedulerPolicy::sim_a());
+                    let mut t = 0;
+                    for a in patterns(wa) {
+                        for b in patterns(wb) {
+                            let tree = Tree::Binary(
+                                op,
+                                Box::new(Tree::Const(a.clone())),
+                                Box::new(Tree::Const(b.clone())),
+                            );
+                            let want = {
+                                let _guard = reference::force();
+                                oracle(&tree, &[])
+                            };
+                            k.poke_name("a", a.clone()).expect("a");
+                            k.poke_name("b", b.clone()).expect("b");
+                            t += 1;
+                            k.run_until(t).expect("settles");
+                            let got = k.peek_name("o").expect("o").resized(want.width());
+                            assert_eq!(got, want, "{a} {op} {b}");
+                        }
+                    }
+                }
+            }
+        }
+    }
+}
+
+/// `race::compare` over borrowed kernels and the consuming sweep share
+/// one history walk: on every model and stimulus length the golden
+/// tests pin, their reports must be equal.
+mod compare_matches_sweep {
+    use sim::elab::compile_unit;
+    use sim::race::{compare, models, sweep, Stim};
+    use sim::{Kernel, SchedulerPolicy};
+    use std::sync::Arc;
+
+    #[test]
+    fn borrowed_compare_equals_the_consuming_sweep() {
+        let golden = [
+            (models::PAPER_RACE, "race"),
+            (models::ORDER_RACE, "order"),
+            (models::RACE_FREE, "clean"),
+            (models::BUSY, "busy"),
+            (models::BITS, "bits"),
+        ];
+        let policies = SchedulerPolicy::all();
+        for (src, top) in golden {
+            let unit = hdl::parse(src).expect("parses");
+            let circuit = Arc::new(compile_unit(&unit, top).expect("elab"));
+            for cycles in [1, 3, 8] {
+                let stim = Stim::clocked(format!("c{cycles}"), cycles);
+                let kernels: Vec<Kernel> = policies
+                    .iter()
+                    .map(|&p| {
+                        let mut k = Kernel::new_shared(Arc::clone(&circuit), p);
+                        stim.apply(&mut k).expect("runs");
+                        k
+                    })
+                    .collect();
+                let swept =
+                    sweep(&circuit, &policies, std::slice::from_ref(&stim)).expect("sweeps");
+                assert_eq!(compare(&kernels), swept[0].report, "{top} × {cycles}");
+            }
+        }
+    }
+}
