@@ -33,10 +33,13 @@ pub const FNV_PRIME: u64 = 0x0000_0100_0000_01B3;
 #[derive(Debug, Clone)]
 pub struct StableHasher {
     state: u64,
-    bytes: usize,
+    /// Bytes fed so far; [`crate::Shared`] adds a chunk's cached count
+    /// here directly.
+    pub(crate) bytes: usize,
     /// False for the count-only walk of [`size_of`]: bytes are counted
-    /// but not mixed into `state`.
-    hashing: bool,
+    /// but not mixed into `state`, and a [`crate::Shared`] chunk may
+    /// report a cached count instead of being walked.
+    pub(crate) hashing: bool,
 }
 
 impl Default for StableHasher {
@@ -155,7 +158,8 @@ pub fn hash_and_size<T: StableHash + ?Sized>(value: &T) -> (u64, usize) {
 /// The byte-count estimate of [`hash_and_size`] alone: exactly
 /// `hash_and_size(value).1`, from the same structural walk with the
 /// per-byte hashing skipped. The migration cache charges its byte
-/// budget with this.
+/// budget with this. A [`crate::Shared`] chunk is walked once per
+/// version; later walks add its cached count.
 pub fn size_of<T: StableHash + ?Sized>(value: &T) -> usize {
     let mut h = StableHasher {
         hashing: false,

@@ -50,6 +50,7 @@ pub mod methodology;
 pub mod optimize;
 pub mod par;
 pub mod scenario;
+pub mod shared;
 pub mod task;
 pub mod toolmodel;
 
@@ -59,5 +60,6 @@ pub use graph::TaskGraph;
 pub use hash::{hash_of, StableHash, StableHasher};
 pub use intern::{intern, IStr};
 pub use scenario::{prune, Scenario};
+pub use shared::Shared;
 pub use task::{Info, Task, TaskKind};
 pub use toolmodel::{TaskToolMap, ToolModel};

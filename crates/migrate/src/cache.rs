@@ -20,16 +20,30 @@
 //! checkpoint format: debuggable with `cat`) holding clean full-chain
 //! outcomes so warm starts survive process restarts.
 //!
+//! Memos are cheap because designs are copy-on-write at chunk
+//! granularity: a sheet's instance, wire, connector and annotation
+//! lists and a library's symbol map are [`interop_core::Shared`]
+//! chunks. Storing a memo, serving a hit and starting a miss from the
+//! source copy the design's skeleton (names, maps, sheet vectors) and
+//! bump one reference count per chunk; a stage copies only the chunks it
+//! rewrites, and only while a memo still holds them. Consecutive memos
+//! therefore share every chunk the stage between them left alone.
+//!
 //! Each entry is charged the byte estimate of
 //! [`interop_core::hash::size_of`]: a count-only walk of the stored
 //! design (the bytes its stable hash would consume, without hashing
-//! them) plus its stage reports. The walk runs before the shard lock is
-//! taken. A shard's mutex covers only its map operations: entries are
-//! held as `Arc<CachedRun>`, so a lookup clones the `Arc` under the
-//! lock and deep-copies the run after releasing it, and the entries a
-//! store replaces or evicts are dropped after it unlocks. The cache
-//! also keeps a running total of live bytes ([`MigrationCache::bytes`])
-//! so per-request accounting needs no lock at all.
+//! them) plus its stage reports. The charge is the full size of the
+//! design, however many chunks it shares, so budgets and evictions are
+//! those of unshared copies; but each chunk version's count is walked
+//! once and cached beside it, so charging a memo costs only the chunks
+//! its stage changed. The walk runs before the shard lock is taken. A
+//! shard's mutex covers only its map operations: entries are held as
+//! `Arc<CachedRun>`, so a lookup clones the `Arc` under the lock and
+//! copies the run (a skeleton copy, see above) after releasing it, and
+//! the entries a store replaces or evicts are dropped after it unlocks.
+//! The cache also keeps a running total of live bytes
+//! ([`MigrationCache::bytes`]) so per-request accounting needs no lock
+//! at all.
 //!
 //! ```
 //! use std::sync::Arc;

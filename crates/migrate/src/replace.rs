@@ -13,9 +13,10 @@ use std::collections::BTreeSet;
 
 use schematic::design::Design;
 use schematic::geom::{Point, Transform};
-use schematic::sheet::Sheet;
+use schematic::sheet::{Sheet, Wire};
 
 use crate::config::SymbolMapEntry;
+use crate::stages::edit_where;
 
 /// How ripped-up connections are redrawn.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
@@ -57,9 +58,37 @@ impl std::ops::AddAssign for ReplaceOutcome {
 /// Moves every wire attachment at `from` to `to` on one sheet, keeping
 /// routing orthogonal where it was orthogonal.
 ///
+/// Only wires through `from` (or holding a repeated vertex, which the
+/// move cleans up) are written; when there are none, the sheet's wire
+/// list is not reached through `&mut` at all.
+///
 /// Returns `(segments_ripped, jogs_added, endpoints_moved)`.
 pub fn move_attachment(
     sheet: &mut Sheet,
+    from: Point,
+    to: Point,
+    strategy: RerouteStrategy,
+) -> (usize, usize, usize) {
+    let mut total = (0, 0, 0);
+    edit_where(
+        &mut sheet.wires,
+        |wire| {
+            wire.points.contains(&from)
+                || (wire.points.len() > 2 && wire.points.windows(2).any(|w| w[0] == w[1]))
+        },
+        |wire| {
+            let (ripped, jogs, moved) = move_wire_attachment(wire, from, to, strategy);
+            total.0 += ripped;
+            total.1 += jogs;
+            total.2 += moved;
+        },
+    );
+    total
+}
+
+/// [`move_attachment`] for one wire.
+fn move_wire_attachment(
+    wire: &mut Wire,
     from: Point,
     to: Point,
     strategy: RerouteStrategy,
@@ -68,73 +97,71 @@ pub fn move_attachment(
     let mut jogs = 0usize;
     let mut moved = 0usize;
 
-    for wire in &mut sheet.wires {
-        let n = wire.points.len();
-        // Endpoint moves (with jog preservation).
-        for end in [0usize, 1] {
-            let idx = if end == 0 { 0 } else { n - 1 };
-            if wire.points[idx] != from {
-                continue;
-            }
-            moved += 1;
-            match strategy {
-                RerouteStrategy::MinimalRipUp => {
-                    ripped += 1;
-                    let neighbor_idx = if end == 0 { 1 } else { n - 2 };
-                    let v = wire.points[neighbor_idx];
-                    let was_horizontal = v.y == from.y;
-                    let was_vertical = v.x == from.x;
-                    wire.points[idx] = to;
-                    if was_horizontal && to.y != v.y && to.x != v.x {
-                        let bend = Point::new(to.x, v.y);
-                        if end == 0 {
-                            wire.points.insert(1, bend);
-                        } else {
-                            wire.points.insert(n - 1, bend);
-                        }
-                        jogs += 1;
-                    } else if was_vertical && to.x != v.x && to.y != v.y {
-                        let bend = Point::new(v.x, to.y);
-                        if end == 0 {
-                            wire.points.insert(1, bend);
-                        } else {
-                            wire.points.insert(n - 1, bend);
-                        }
-                        jogs += 1;
-                    }
-                }
-                RerouteStrategy::FullRedraw => {
-                    // Rip the whole wire; redraw from the far end.
-                    ripped += wire.points.len() - 1;
-                    let far = if end == 0 {
-                        *wire.points.last().expect("wire has points")
+    let n = wire.points.len();
+    // Endpoint moves (with jog preservation).
+    for end in [0usize, 1] {
+        let idx = if end == 0 { 0 } else { n - 1 };
+        if wire.points[idx] != from {
+            continue;
+        }
+        moved += 1;
+        match strategy {
+            RerouteStrategy::MinimalRipUp => {
+                ripped += 1;
+                let neighbor_idx = if end == 0 { 1 } else { n - 2 };
+                let v = wire.points[neighbor_idx];
+                let was_horizontal = v.y == from.y;
+                let was_vertical = v.x == from.x;
+                wire.points[idx] = to;
+                if was_horizontal && to.y != v.y && to.x != v.x {
+                    let bend = Point::new(to.x, v.y);
+                    if end == 0 {
+                        wire.points.insert(1, bend);
                     } else {
-                        wire.points[0]
-                    };
-                    let mut path = vec![far];
-                    if far.x != to.x && far.y != to.y {
-                        path.push(Point::new(to.x, far.y));
-                        jogs += 1;
+                        wire.points.insert(n - 1, bend);
                     }
-                    path.push(to);
-                    wire.points = path;
+                    jogs += 1;
+                } else if was_vertical && to.x != v.x && to.y != v.y {
+                    let bend = Point::new(v.x, to.y);
+                    if end == 0 {
+                        wire.points.insert(1, bend);
+                    } else {
+                        wire.points.insert(n - 1, bend);
+                    }
+                    jogs += 1;
                 }
             }
-            break; // a wire attaches at most once per pass
-        }
-        // Interior vertices coinciding with the pin: translate them.
-        for i in 1..wire.points.len().saturating_sub(1) {
-            if wire.points[i] == from {
-                wire.points[i] = to;
-                ripped += 2;
-                moved += 1;
+            RerouteStrategy::FullRedraw => {
+                // Rip the whole wire; redraw from the far end.
+                ripped += wire.points.len() - 1;
+                let far = if end == 0 {
+                    *wire.points.last().expect("wire has points")
+                } else {
+                    wire.points[0]
+                };
+                let mut path = vec![far];
+                if far.x != to.x && far.y != to.y {
+                    path.push(Point::new(to.x, far.y));
+                    jogs += 1;
+                }
+                path.push(to);
+                wire.points = path;
             }
         }
-        // Drop consecutive duplicate vertices the move may have created
-        // (a zero-length segment would spuriously "touch" everything).
-        if wire.points.len() > 2 {
-            wire.points.dedup();
+        break; // a wire attaches at most once per pass
+    }
+    // Interior vertices coinciding with the pin: translate them.
+    for i in 1..wire.points.len().saturating_sub(1) {
+        if wire.points[i] == from {
+            wire.points[i] = to;
+            ripped += 2;
+            moved += 1;
         }
+    }
+    // Drop consecutive duplicate vertices the move may have created
+    // (a zero-length segment would spuriously "touch" everything).
+    if wire.points.len() > 2 {
+        wire.points.dedup();
     }
     (ripped, jogs, moved)
 }

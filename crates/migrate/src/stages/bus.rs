@@ -14,6 +14,7 @@ use schematic::bus::{BusSyntax, NetName};
 use schematic::design::Design;
 
 use crate::report::StageStats;
+use crate::stages::edit_where;
 
 /// Suffix appended to a net's base name when simply dropping its postfix
 /// indicator would collide with another net.
@@ -117,25 +118,33 @@ pub fn run(design: &mut Design, src: BusSyntax, dst: BusSyntax, stats: &mut Stag
         stats.renamed += renames;
         stats.issues.extend(issues);
 
+        // Every mapped name counts as touched; only the lists holding a
+        // name that actually changes are written.
+        let renamed = |text: &IStr| map.get(text).filter(|new| *new != text);
         for sheet in &mut cell.sheets {
-            for w in &mut sheet.wires {
-                if let Some(l) = &mut w.label {
-                    if let Some(new) = map.get(&l.text) {
-                        if *new != l.text {
-                            l.text = new.clone();
-                        }
-                        stats.touched += 1;
-                    }
-                }
-            }
-            for c in &mut sheet.connectors {
-                if let Some(new) = map.get(&c.name) {
-                    if *new != c.name {
-                        c.name = new.clone();
-                    }
-                    stats.touched += 1;
-                }
-            }
+            stats.touched += sheet
+                .wires
+                .iter()
+                .filter(|w| w.label.as_ref().is_some_and(|l| map.contains_key(&l.text)))
+                .count();
+            stats.touched += sheet
+                .connectors
+                .iter()
+                .filter(|c| map.contains_key(&c.name))
+                .count();
+            edit_where(
+                &mut sheet.wires,
+                |w| w.label.as_ref().is_some_and(|l| renamed(&l.text).is_some()),
+                |w| {
+                    let l = w.label.as_mut().expect("selected wires are labelled");
+                    l.text = map[&l.text].clone();
+                },
+            );
+            edit_where(
+                &mut sheet.connectors,
+                |c| renamed(&c.name).is_some(),
+                |c| c.name = map[&c.name].clone(),
+            );
         }
     }
 }

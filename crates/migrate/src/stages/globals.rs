@@ -15,6 +15,7 @@ use schematic::sheet::{Connector, ConnectorKind};
 
 use crate::config::MigrationConfig;
 use crate::report::StageStats;
+use crate::stages::edit_where;
 
 /// Renames globals per the configured map and plants a `Global`
 /// connector at the first labelled appearance of each global on each
@@ -32,23 +33,36 @@ pub fn run(design: &mut Design, config: &MigrationConfig, stats: &mut StageStats
 
     let global_names: BTreeSet<IStr> = design.globals().iter().cloned().collect();
 
+    // Every mapped name counts as touched; only the lists holding a name
+    // the map actually changes are written.
+    let mapped = |name: &str| config.globals_map.get(name);
+    let renamed = |name: &str| mapped(name).filter(|new| new.as_str() != name);
     for cell in design.cells_mut() {
         for sheet in &mut cell.sheets {
             // Rename labels.
-            for w in &mut sheet.wires {
-                if let Some(l) = &mut w.label {
-                    if let Some(new) = config.globals_map.get(l.text.as_str()) {
-                        l.text = new.into();
-                        stats.touched += 1;
-                    }
-                }
-            }
-            for c in &mut sheet.connectors {
-                if let Some(new) = config.globals_map.get(c.name.as_str()) {
-                    c.name = new.into();
-                    stats.touched += 1;
-                }
-            }
+            stats.touched += sheet
+                .wires
+                .iter()
+                .filter(|w| w.label.as_ref().is_some_and(|l| mapped(&l.text).is_some()))
+                .count();
+            stats.touched += sheet
+                .connectors
+                .iter()
+                .filter(|c| mapped(&c.name).is_some())
+                .count();
+            edit_where(
+                &mut sheet.wires,
+                |w| w.label.as_ref().is_some_and(|l| renamed(&l.text).is_some()),
+                |w| {
+                    let l = w.label.as_mut().expect("selected wires are labelled");
+                    l.text = mapped(&l.text).expect("selected labels are mapped").into();
+                },
+            );
+            edit_where(
+                &mut sheet.connectors,
+                |c| renamed(&c.name).is_some(),
+                |c| c.name = mapped(&c.name).expect("selected names are mapped").into(),
+            );
 
             // Plant one Global connector per global per page.
             let existing: BTreeSet<IStr> = sheet

@@ -10,59 +10,100 @@ use alang::value::Value;
 use alang::Interpreter;
 use schematic::design::Design;
 use schematic::property::{PropMap, PropValue};
+use schematic::sheet::Instance;
 
-use crate::config::{MigrationConfig, PropRule};
+use crate::config::{MigrationConfig, PropRule, PropScope};
 use crate::report::StageStats;
+use crate::stages::edit_where;
 
 /// Applies the standard property rules to every instance in scope.
+/// Instance lists with no instance a rule changes are left unwritten.
 pub fn run_standard(design: &mut Design, config: &MigrationConfig, stats: &mut StageStats) {
+    // A rule that reports no change leaves the map as it was, so the
+    // rules change an instance exactly when one of them would report a
+    // change on its properties as they stand.
+    let in_scope = |scope: &PropScope, inst: &Instance| scope.covers(&inst.symbol.cell);
+    let needs = |inst: &Instance| {
+        config
+            .prop_rules
+            .iter()
+            .any(|(scope, rule)| in_scope(scope, inst) && rule_applies(rule, &inst.props))
+    };
     for cell in design.cells_mut() {
         for sheet in &mut cell.sheets {
-            for inst in &mut sheet.instances {
+            edit_where(&mut sheet.instances, needs, |inst| {
                 for (scope, rule) in &config.prop_rules {
-                    if !scope.covers(&inst.symbol.cell) {
-                        continue;
-                    }
-                    let changed = match rule {
-                        PropRule::Add { name, value } => {
-                            if inst.props.contains(name) {
-                                false
-                            } else {
-                                inst.props.set(name.clone(), PropValue::from_text(value));
-                                true
-                            }
-                        }
-                        PropRule::Delete { name } => inst.props.remove(name).is_some(),
-                        PropRule::Rename { from, to } => inst.props.rename(from, to.clone()),
-                        PropRule::ChangeValue { name, from, to } => match inst.props.get(name) {
-                            Some(v) if v.to_text() == *from => {
-                                inst.props.set(name.clone(), PropValue::from_text(to));
-                                true
-                            }
-                            _ => false,
-                        },
-                    };
-                    if changed {
+                    if in_scope(scope, inst) && apply_rule(rule, &mut inst.props) {
                         stats.touched += 1;
                         if matches!(rule, PropRule::Rename { .. }) {
                             stats.renamed += 1;
                         }
                     }
                 }
+            });
+        }
+    }
+}
+
+/// Applies one rule; true when it reports a change.
+fn apply_rule(rule: &PropRule, props: &mut PropMap) -> bool {
+    match rule {
+        PropRule::Add { name, value } => {
+            if props.contains(name) {
+                false
+            } else {
+                props.set(name.clone(), PropValue::from_text(value));
+                true
             }
+        }
+        PropRule::Delete { name } => props.remove(name).is_some(),
+        PropRule::Rename { from, to } => props.rename(from, to.clone()),
+        PropRule::ChangeValue { name, from, to } => match props.get(name) {
+            Some(v) if v.to_text() == *from => {
+                props.set(name.clone(), PropValue::from_text(to));
+                true
+            }
+            _ => false,
+        },
+    }
+}
+
+/// Whether [`apply_rule`] would report a change, without applying it.
+fn rule_applies(rule: &PropRule, props: &PropMap) -> bool {
+    match rule {
+        PropRule::Add { name, .. } => !props.contains(name),
+        PropRule::Delete { name } => props.contains(name),
+        PropRule::Rename { from, .. } => props.contains(from),
+        PropRule::ChangeValue { name, from, .. } => {
+            props.get(name).is_some_and(|v| v.to_text() == *from)
         }
     }
 }
 
 /// The a/L host exposed to callbacks: the current instance's property
-/// map plus migration context.
+/// map plus migration context. The map is copied on the first write, so
+/// a callback that only reads leaves the instance (and its sheet's
+/// shared instance list) alone.
 struct InstanceHost<'a> {
-    props: &'a mut PropMap,
+    /// The instance's properties as the stage found them.
+    base: &'a PropMap,
+    /// The callbacks' edits so far: `base` copied on the first write.
+    edited: &'a mut Option<PropMap>,
     inst: &'a str,
     cell: &'a str,
     library: &'a str,
     page: u32,
     owner_cell: &'a str,
+}
+
+impl InstanceHost<'_> {
+    fn props(&self) -> &PropMap {
+        self.edited.as_ref().unwrap_or(self.base)
+    }
+
+    fn props_mut(&mut self) -> &mut PropMap {
+        self.edited.get_or_insert_with(|| self.base.clone())
+    }
 }
 
 fn to_value(v: &PropValue) -> Value {
@@ -86,20 +127,23 @@ fn from_value(v: &Value) -> PropValue {
 
 impl Host for InstanceHost<'_> {
     fn get(&self, key: &str) -> Option<Value> {
-        self.props.get(key).map(to_value)
+        self.props().get(key).map(to_value)
     }
 
     fn set(&mut self, key: &str, value: Value) -> Result<(), String> {
-        self.props.set(key, from_value(&value));
+        self.props_mut().set(key, from_value(&value));
         Ok(())
     }
 
     fn remove(&mut self, key: &str) -> Option<Value> {
-        self.props.remove(key).map(|v| to_value(&v))
+        if !self.props().contains(key) {
+            return None;
+        }
+        self.props_mut().remove(key).map(|v| to_value(&v))
     }
 
     fn keys(&self) -> Vec<String> {
-        self.props.names().map(str::to_string).collect()
+        self.props().names().map(str::to_string).collect()
     }
 
     fn context(&self, what: &str) -> Option<Value> {
@@ -139,18 +183,24 @@ pub fn run_callbacks(design: &mut Design, config: &MigrationConfig, stats: &mut 
         let owner_name = cell.cell.clone();
         for sheet in &mut cell.sheets {
             let page = sheet.page;
-            for inst in &mut sheet.instances {
+            // Run every callback against copy-on-write hosts first; the
+            // instance list is written only for instances a callback
+            // wrote to.
+            let mut changed: Vec<(usize, PropMap)> = Vec::new();
+            for (idx, inst) in sheet.instances.iter().enumerate() {
+                let mut edited = None;
                 for cb in &config.callbacks {
                     if !cb.scope.covers(&inst.symbol.cell) {
                         continue;
                     }
                     let mut host = InstanceHost {
+                        base: &inst.props,
+                        edited: &mut edited,
                         inst: &inst.name,
                         cell: &inst.symbol.cell,
                         library: &inst.symbol.library,
                         page,
                         owner_cell: &owner_name,
-                        props: &mut inst.props,
                     };
                     match interp.call(&cb.entry, &[], &mut host) {
                         Ok(_) => stats.touched += 1,
@@ -159,6 +209,12 @@ pub fn run_callbacks(design: &mut Design, config: &MigrationConfig, stats: &mut 
                             .push(format!("callback `{}` on {}: {e}", cb.entry, host.inst)),
                     }
                 }
+                if let Some(props) = edited {
+                    changed.push((idx, props));
+                }
+            }
+            for (idx, props) in changed {
+                sheet.instances[idx].props = props;
             }
         }
     }

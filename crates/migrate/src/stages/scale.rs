@@ -7,15 +7,18 @@
 //! adjust to the Composer grid spacing."
 
 use schematic::design::Design;
+use schematic::geom::Point;
 use schematic::sheet::Sheet;
 use schematic::Library;
 
 use crate::report::StageStats;
+use crate::stages::edit_where;
 
 /// Scales every coordinate in the design by `num/den` and retags symbol
 /// grids to `target_grid`.
 pub fn run(design: &mut Design, num: i64, den: i64, target_grid: i64, stats: &mut StageStats) {
-    // Libraries: rebuild each symbol scaled.
+    // Libraries: rebuild each symbol scaled; a library the scaling
+    // leaves equal keeps its shared symbol map.
     let lib_names: Vec<interop_core::IStr> = design.libraries().map(|l| l.name.clone()).collect();
     for name in lib_names {
         let lib = design.library(&name).expect("library exists");
@@ -24,7 +27,9 @@ pub fn run(design: &mut Design, num: i64, den: i64, target_grid: i64, stats: &mu
             scaled.add(sym.scaled(num, den, target_grid));
             stats.touched += 1;
         }
-        design.add_library(scaled);
+        if scaled != *lib {
+            design.add_library(scaled);
+        }
     }
 
     for cell in design.cells_mut() {
@@ -37,28 +42,39 @@ pub fn run(design: &mut Design, num: i64, den: i64, target_grid: i64, stats: &mu
     }
 }
 
+/// Every object on the sheet counts as touched; only the lists holding
+/// a point that actually moves are written.
 fn scale_sheet(sheet: &mut Sheet, num: i64, den: i64, stats: &mut StageStats) {
-    for inst in &mut sheet.instances {
-        inst.place.origin = inst.place.origin.scaled(num, den);
-        stats.touched += 1;
-    }
-    for wire in &mut sheet.wires {
-        for p in &mut wire.points {
-            *p = p.scaled(num, den);
-        }
-        if let Some(label) = &mut wire.label {
-            label.at = label.at.scaled(num, den);
-        }
-        stats.touched += 1;
-    }
-    for conn in &mut sheet.connectors {
-        conn.at = conn.at.scaled(num, den);
-        stats.touched += 1;
-    }
-    for ann in &mut sheet.annotations {
-        ann.at = ann.at.scaled(num, den);
-        stats.touched += 1;
-    }
+    let moves = |p: Point| p.scaled(num, den) != p;
+    let scale = |p: &mut Point| *p = p.scaled(num, den);
+    stats.touched += sheet.instances.len()
+        + sheet.wires.len()
+        + sheet.connectors.len()
+        + sheet.annotations.len();
+    edit_where(
+        &mut sheet.instances,
+        |inst| moves(inst.place.origin),
+        |inst| scale(&mut inst.place.origin),
+    );
+    edit_where(
+        &mut sheet.wires,
+        |wire| {
+            wire.points.iter().any(|&p| moves(p))
+                || wire.label.as_ref().is_some_and(|l| moves(l.at))
+        },
+        |wire| {
+            wire.points.iter_mut().for_each(scale);
+            if let Some(label) = &mut wire.label {
+                scale(&mut label.at);
+            }
+        },
+    );
+    edit_where(&mut sheet.connectors, |c| moves(c.at), |c| scale(&mut c.at));
+    edit_where(
+        &mut sheet.annotations,
+        |a| moves(a.at),
+        |a| scale(&mut a.at),
+    );
 }
 
 #[cfg(test)]

@@ -11,6 +11,7 @@ use schematic::design::Design;
 use schematic::property::{FontMetrics, Label};
 
 use crate::report::StageStats;
+use crate::stages::edit_where;
 
 /// Converts a label to the target font while preserving its *visual
 /// baseline* — the property whose loss produces the paper's
@@ -23,23 +24,24 @@ pub fn convert_label(label: &mut Label, target: FontMetrics) {
 }
 
 /// Converts every label and annotation in the design to `target` font
-/// metrics.
+/// metrics. Lists with nothing to convert are left unwritten.
 pub fn run(design: &mut Design, target: FontMetrics, stats: &mut StageStats) {
     for sheet in design.cells_mut().flat_map(|cell| cell.sheets.iter_mut()) {
-        for w in &mut sheet.wires {
-            if let Some(l) = &mut w.label {
-                if l.font != target {
-                    convert_label(l, target);
-                    stats.touched += 1;
-                }
-            }
-        }
-        for a in &mut sheet.annotations {
-            if a.font != target {
-                convert_label(a, target);
-                stats.touched += 1;
-            }
-        }
+        stats.touched += edit_where(
+            &mut sheet.wires,
+            |w| w.label.as_ref().is_some_and(|l| l.font != target),
+            |w| {
+                convert_label(
+                    w.label.as_mut().expect("selected wires are labelled"),
+                    target,
+                )
+            },
+        );
+        stats.touched += edit_where(
+            &mut sheet.annotations,
+            |a| a.font != target,
+            |a| convert_label(a, target),
+        );
     }
 }
 

@@ -3,17 +3,23 @@
 use std::collections::{BTreeMap, BTreeSet};
 
 use interop_core::intern::{intern, IStr};
+use interop_core::Shared;
 
 use crate::dialect::DialectId;
 use crate::sheet::Sheet;
 use crate::symbol::{SymbolDef, SymbolPin, SymbolRef};
 
 /// A named collection of symbol definitions, keyed by `(cell, view)`.
+///
+/// The symbol map is one copy-on-write [`Shared`] chunk: cloning a
+/// library (into a design, a cache memo, or from a migration config's
+/// target libraries) copies a pointer, and [`Library::add`] copies the
+/// map only while another clone still holds it.
 #[derive(Debug, Clone, Default, PartialEq)]
 pub struct Library {
     /// Library name (interned; shared by every symbol reference).
     pub name: IStr,
-    symbols: BTreeMap<(IStr, IStr), SymbolDef>,
+    symbols: Shared<BTreeMap<(IStr, IStr), SymbolDef>>,
 }
 
 impl Library {
@@ -21,7 +27,7 @@ impl Library {
     pub fn new(name: impl Into<IStr>) -> Self {
         Library {
             name: name.into(),
-            symbols: BTreeMap::new(),
+            symbols: Shared::default(),
         }
     }
 
@@ -54,6 +60,13 @@ impl Library {
     /// True when the library holds no symbols.
     pub fn is_empty(&self) -> bool {
         self.symbols.is_empty()
+    }
+
+    /// The symbol map as its shared chunk, keyed by `(cell, view)` —
+    /// for stable hashing and for checking which libraries share
+    /// storage ([`Shared::ptr_eq`]).
+    pub fn symbol_map(&self) -> &Shared<BTreeMap<(IStr, IStr), SymbolDef>> {
+        &self.symbols
     }
 }
 

@@ -1,6 +1,7 @@
 //! Sheets: the drawing pages of a schematic cell.
 
 use interop_core::intern::IStr;
+use interop_core::Shared;
 
 use crate::geom::{BBox, Orient, Point, Transform};
 use crate::property::{Label, PropMap};
@@ -188,6 +189,13 @@ impl Connector {
 }
 
 /// One page of a schematic cell.
+///
+/// Its four object lists are copy-on-write [`Shared`] chunks: cloning a
+/// sheet copies four pointers, and a list is copied only when it is
+/// reached through `&mut` while another clone still holds it. Reads
+/// (`sheet.wires.iter()`, `&sheet.wires[i]`) work as on a `Vec`; code
+/// that only *might* change a list should scan it through `&` first, so
+/// the lists it leaves alone stay shared.
 #[derive(Debug, Clone, PartialEq)]
 pub struct Sheet {
     /// 1-based page number.
@@ -195,13 +203,13 @@ pub struct Sheet {
     /// Drawable area.
     pub frame: BBox,
     /// Placed component instances.
-    pub instances: Vec<Instance>,
+    pub instances: Shared<Vec<Instance>>,
     /// Wires.
-    pub wires: Vec<Wire>,
+    pub wires: Shared<Vec<Wire>>,
     /// Connector objects.
-    pub connectors: Vec<Connector>,
+    pub connectors: Shared<Vec<Connector>>,
     /// Free annotation text (title blocks, notes).
-    pub annotations: Vec<Label>,
+    pub annotations: Shared<Vec<Label>>,
 }
 
 impl Sheet {
@@ -219,10 +227,10 @@ impl Sheet {
         Sheet {
             page,
             frame: Self::standard_frame(),
-            instances: Vec::new(),
-            wires: Vec::new(),
-            connectors: Vec::new(),
-            annotations: Vec::new(),
+            instances: Shared::default(),
+            wires: Shared::default(),
+            connectors: Shared::default(),
+            annotations: Shared::default(),
         }
     }
 

@@ -165,10 +165,14 @@ impl StableHash for SymbolDef {
 impl StableHash for Library {
     fn stable_hash(&self, h: &mut StableHasher) {
         self.name.stable_hash(h);
-        h.write_usize(self.len());
-        for sym in self.iter() {
-            sym.stable_hash(h);
-        }
+        // The symbols alone, without their `(cell, view)` keys: each
+        // symbol's reference already carries them.
+        self.symbol_map().stable_hash_by(h, |symbols, h| {
+            h.write_usize(symbols.len());
+            for sym in symbols.values() {
+                sym.stable_hash(h);
+            }
+        });
     }
 }
 
