@@ -10,7 +10,8 @@
 //! * two vendor *dialects* with deliberately different conventions —
 //!   grid pitch, bus syntax, implicit-vs-explicit page connection, fonts
 //!   ([`dialect`], [`bus`]),
-//! * on-disk formats for both dialects ([`viewstar`], [`cascade`]),
+//! * on-disk formats for both dialects ([`viewstar`], [`cascade`]), with
+//!   the line formats' token grammar in [`token`],
 //! * connectivity extraction to a canonical netlist plus structural
 //!   netlist comparison — the independent verifier ([`connectivity`],
 //!   [`netlist`]),
@@ -43,6 +44,7 @@ pub mod property;
 pub mod sheet;
 pub mod stable;
 pub mod symbol;
+pub mod token;
 pub mod viewstar;
 
 pub use design::{CellSchematic, Design, Library};

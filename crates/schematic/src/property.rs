@@ -25,14 +25,10 @@ pub enum PropValue {
 }
 
 impl PropValue {
-    /// Renders the value the way both dialect writers print it.
+    /// Renders the value the way both dialect writers print it (its
+    /// [`Display`](fmt::Display) form).
     pub fn to_text(&self) -> String {
-        match self {
-            PropValue::Text(s) => s.clone(),
-            PropValue::Int(i) => i.to_string(),
-            PropValue::Real(r) => format!("{r}"),
-            PropValue::Flag(b) => if *b { "true" } else { "false" }.to_string(),
-        }
+        self.to_string()
     }
 
     /// Best-effort parse back from text: ints, then reals, then flags,
@@ -53,9 +49,16 @@ impl PropValue {
     }
 }
 
+/// The text both dialect writers print. Padding and precision flags are
+/// ignored, as the text is a token, not a column.
 impl fmt::Display for PropValue {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        f.write_str(&self.to_text())
+        match self {
+            PropValue::Text(s) => f.write_str(s),
+            PropValue::Int(i) => write!(f, "{i}"),
+            PropValue::Real(r) => write!(f, "{r}"),
+            PropValue::Flag(b) => f.write_str(if *b { "true" } else { "false" }),
+        }
     }
 }
 
