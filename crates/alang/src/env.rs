@@ -34,6 +34,15 @@ impl Env {
         }
     }
 
+    /// Drops every binding of this frame. A function defined in a frame
+    /// captures that frame, so the two form a reference cycle that only
+    /// dropping the frame's bindings frees.
+    pub(crate) fn clear(&self) {
+        // Taken out first: dropping a binding may drop other frames.
+        let vars = std::mem::take(&mut self.frame.borrow_mut().vars);
+        drop(vars);
+    }
+
     /// Defines (or redefines) a variable in this frame.
     pub fn define(&self, name: impl Into<String>, value: Value) {
         self.frame.borrow_mut().vars.insert(name.into(), value);

@@ -97,6 +97,16 @@ pub struct Interpreter {
     pub fuel: u64,
 }
 
+/// Clears the global environment, whose functions capture it: without
+/// this every interpreter that defined a function would leak its
+/// globals. A clone of [`Interpreter::globals`], or a function value,
+/// kept past the interpreter sees no globals afterwards.
+impl Drop for Interpreter {
+    fn drop(&mut self) {
+        self.root.clear();
+    }
+}
+
 impl Default for Interpreter {
     fn default() -> Self {
         Self::new()
@@ -182,6 +192,20 @@ impl Interpreter {
 mod tests {
     use super::*;
     use host::{MapHost, NoHost};
+
+    #[test]
+    fn dropping_an_interpreter_frees_its_functions() {
+        let mut interp = Interpreter::new();
+        interp
+            .eval_src("(define (f x) (+ x 1))", &mut NoHost)
+            .unwrap();
+        let f = match interp.globals().lookup("f") {
+            Some(Value::Lambda(f)) => std::rc::Rc::downgrade(&f),
+            _ => panic!("f is a function"),
+        };
+        drop(interp);
+        assert!(f.upgrade().is_none(), "the global environment leaked");
+    }
 
     fn run(src: &str) -> Result<Value, AlangError> {
         Interpreter::new().eval_src(src, &mut NoHost)
