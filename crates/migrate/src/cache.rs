@@ -45,6 +45,29 @@
 //! ([`MigrationCache::bytes`]) so per-request accounting needs no lock
 //! at all.
 //!
+//! Evicted memos are freed on the thread that inserted them. A memo's
+//! blocks come from its inserting thread's allocator arena, and freeing
+//! them from another thread takes that arena's lock while its owner
+//! allocates in it, which slowed every layer of a two-client batch. So
+//! each thread that uses a cache has a *home*: a pending list of the
+//! memos other threads removed. Every removal (a store's evictions and
+//! the entry it replaces, [`purge_design`], [`clear`], and a disk-tier
+//! restore) releases each entry by one rule: the thread that inserted
+//! it drops it at once; another thread pushes
+//! it onto the inserting thread's home while that thread is alive and
+//! the home's pending bytes stay within this cache's per-shard budget
+//! (its capacity over its 16 shards), and otherwise drops it at once.
+//! Every [`lookup`] and [`insert`] first frees the caller's own pending
+//! list, which costs one atomic load when the list is empty, and a
+//! thread frees what is left on its list when it exits. A thread that
+//! stops calling the cache therefore holds at most one shard budget of
+//! memos that are no longer cached.
+//!
+//! [`purge_design`]: MigrationCache::purge_design
+//! [`clear`]: MigrationCache::clear
+//! [`lookup`]: MigrationCache::lookup
+//! [`insert`]: MigrationCache::insert
+//!
 //! ```
 //! use std::sync::Arc;
 //! use migrate::{MigrationCache, Migrator};
@@ -63,8 +86,8 @@
 use std::collections::HashMap;
 use std::fs;
 use std::path::{Path, PathBuf};
-use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
-use std::sync::{Arc, Mutex};
+use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
+use std::sync::{Arc, Mutex, PoisonError};
 
 use interop_core::hash::{size_of, StableHash, StableHasher};
 use schematic::design::Design;
@@ -188,6 +211,120 @@ struct Entry {
     run: Arc<CachedRun>,
     bytes: usize,
     last_used: u64,
+    /// The home of the thread that inserted the entry (`None` if that
+    /// thread was already exiting).
+    home: Option<Arc<Home>>,
+}
+
+/// A thread's pending list: memos it inserted that another thread
+/// removed from a cache, waiting for this thread to free them.
+struct Home {
+    /// `None` once the thread has exited.
+    pending: Mutex<Option<Pending>>,
+    /// Whether `pending` holds any runs, so that the owner skips the
+    /// lock when it holds none. Only a hint, set and cleared under the
+    /// lock: the runs themselves are published by the mutex, so
+    /// `Relaxed` suffices, and a push the owner misses is freed on its
+    /// next cache call or at its exit.
+    nonempty: AtomicBool,
+}
+
+#[derive(Default)]
+struct Pending {
+    runs: Vec<Arc<CachedRun>>,
+    /// Sum of the pushed entries' charged bytes.
+    bytes: usize,
+}
+
+impl Home {
+    fn lock(&self) -> std::sync::MutexGuard<'_, Option<Pending>> {
+        self.pending
+            .lock()
+            .expect("a home's lock is never held across a panic")
+    }
+
+    /// Queues `run`, charged `bytes`, for the owner to free, unless the
+    /// owner has exited or its pending bytes would exceed `budget`;
+    /// then hands `run` back.
+    fn offer(&self, run: Arc<CachedRun>, bytes: usize, budget: usize) -> Option<Arc<CachedRun>> {
+        let mut pending = self.lock();
+        match pending.as_mut() {
+            Some(p) if p.bytes + bytes <= budget => {
+                p.runs.push(run);
+                p.bytes += bytes;
+                self.nonempty.store(true, Ordering::Relaxed);
+                None
+            }
+            _ => Some(run),
+        }
+    }
+
+    /// Frees the runs other threads queued here. Called by the owner.
+    fn reclaim(&self) {
+        if !self.nonempty.load(Ordering::Relaxed) {
+            return;
+        }
+        let runs = {
+            let mut pending = self.lock();
+            self.nonempty.store(false, Ordering::Relaxed);
+            pending.as_mut().map(|p| {
+                p.bytes = 0;
+                std::mem::take(&mut p.runs)
+            })
+        };
+        drop(runs);
+    }
+}
+
+/// Closes its thread's home when the thread exits and frees the runs
+/// still pending there on that thread.
+struct HomeGuard(Arc<Home>);
+
+impl Drop for HomeGuard {
+    fn drop(&mut self) {
+        // Recover a poisoned lock rather than panic in `drop`: every
+        // update of the list completes under the lock, so it is valid.
+        let pending = self
+            .0
+            .pending
+            .lock()
+            .unwrap_or_else(PoisonError::into_inner)
+            .take();
+        self.0.nonempty.store(false, Ordering::Relaxed);
+        drop(pending);
+    }
+}
+
+thread_local! {
+    static HOME: HomeGuard = HomeGuard(Arc::new(Home {
+        pending: Mutex::new(Some(Pending::default())),
+        nonempty: AtomicBool::new(false),
+    }));
+}
+
+/// Frees the calling thread's pending runs. Does nothing while the
+/// thread is exiting: its guard frees them then.
+fn reclaim_own() {
+    let _ = HOME.try_with(|home| home.0.reclaim());
+}
+
+/// Releases entries removed from a cache whose per-shard budget is
+/// `budget`: each is dropped here if this thread inserted it, queued on
+/// its inserting thread's home if that home takes it, and otherwise
+/// dropped here.
+fn release(removed: impl IntoIterator<Item = Entry>, budget: usize) {
+    let mine = HOME.try_with(|home| Arc::clone(&home.0)).ok();
+    for entry in removed {
+        let Entry {
+            run, bytes, home, ..
+        } = entry;
+        match home {
+            Some(home) if !mine.as_ref().is_some_and(|m| Arc::ptr_eq(m, &home)) => {
+                drop(home.offer(run, bytes, budget));
+            }
+            _ => drop(run),
+        }
+    }
 }
 
 #[derive(Default)]
@@ -293,6 +430,10 @@ impl MigrationCache {
         &self.shards[(design ^ chain) as usize % SHARDS]
     }
 
+    fn shard_budget(&self) -> usize {
+        (self.capacity / SHARDS).max(1)
+    }
+
     fn touch(&self) -> u64 {
         self.tick.fetch_add(1, Ordering::Relaxed) + 1
     }
@@ -323,6 +464,7 @@ impl MigrationCache {
     /// first (memory, then disk), then prefix memos from longest to
     /// shortest. Updates hit/miss statistics.
     pub fn lookup(&self, design_hash: u64, chain: &StageChain) -> Lookup {
+        reclaim_own();
         let full = chain.full_hash();
         if let Some(run) = self.get(design_hash, full) {
             self.hits.fetch_add(1, Ordering::Relaxed);
@@ -353,8 +495,9 @@ impl MigrationCache {
             run: Arc::new(run),
             bytes,
             last_used: self.touch(),
+            home: HOME.try_with(|home| Arc::clone(&home.0)).ok(),
         };
-        let budget = (self.capacity / SHARDS).max(1);
+        let budget = self.shard_budget();
         let mut shard = self.shard(design, chain).lock().unwrap();
         let before = shard.bytes;
         let replaced = shard.map.insert(key, entry);
@@ -376,10 +519,11 @@ impl MigrationCache {
             evicted.push(entry);
         }
         self.account(before, shard.bytes);
-        // Unlock first: the replaced and evicted runs are freed after.
+        // Unlock first: the replaced and evicted runs are released after.
         drop(shard);
-        drop(replaced);
-        evicted.len() as u64
+        let count = evicted.len() as u64;
+        release(replaced.into_iter().chain(evicted), budget);
+        count
     }
 
     /// Inserts a (possibly partial) pipeline result. `full` marks a
@@ -387,6 +531,7 @@ impl MigrationCache {
     /// and only when clean. Returns how many entries were evicted to
     /// make room (for the caller's `migrate.cache.evict` counter).
     pub fn insert(&self, design_hash: u64, chain_hash: u64, run: CachedRun, full: bool) -> u64 {
+        reclaim_own();
         if full && self.disk.is_some() && run.is_clean() {
             self.disk_store(design_hash, chain_hash, &run);
         }
@@ -419,7 +564,7 @@ impl MigrationCache {
             }
             self.account(before, shard.bytes);
             drop(shard);
-            drop(doomed);
+            release(doomed, self.shard_budget());
         }
         if let Some(dir) = &self.disk {
             let prefix = format!("{design_hash:016x}-");
@@ -441,7 +586,7 @@ impl MigrationCache {
             self.account(shard.bytes, 0);
             shard.bytes = 0;
             drop(shard);
-            drop(entries);
+            release(entries.into_values(), self.shard_budget());
         }
     }
 

@@ -5,6 +5,8 @@
 //! (e.g. reformatting single analog properties into multiple properties)
 //! run as a/L callbacks with full access to the object being migrated.
 
+use std::fmt::{self, Write as _};
+
 use alang::host::Host;
 use alang::value::Value;
 use alang::Interpreter;
@@ -59,7 +61,7 @@ fn apply_rule(rule: &PropRule, props: &mut PropMap) -> bool {
         PropRule::Delete { name } => props.remove(name).is_some(),
         PropRule::Rename { from, to } => props.rename(from, to.clone()),
         PropRule::ChangeValue { name, from, to } => match props.get(name) {
-            Some(v) if v.to_text() == *from => {
+            Some(v) if prints_as(v, from) => {
                 props.set(name.clone(), PropValue::from_text(to));
                 true
             }
@@ -75,7 +77,31 @@ fn rule_applies(rule: &PropRule, props: &PropMap) -> bool {
         PropRule::Delete { name } => props.contains(name),
         PropRule::Rename { from, .. } => props.contains(from),
         PropRule::ChangeValue { name, from, .. } => {
-            props.get(name).is_some_and(|v| v.to_text() == *from)
+            props.get(name).is_some_and(|v| prints_as(v, from))
+        }
+    }
+}
+
+/// Whether `value.to_text()` equals `text`, decided without formatting
+/// the value into a new `String`: a non-text value is compared as it is
+/// written.
+fn prints_as(value: &PropValue, text: &str) -> bool {
+    /// Consumes the expected text as the value is written; fails at the
+    /// first piece that does not match.
+    struct Expect<'a>(&'a str);
+
+    impl fmt::Write for Expect<'_> {
+        fn write_str(&mut self, piece: &str) -> fmt::Result {
+            self.0 = self.0.strip_prefix(piece).ok_or(fmt::Error)?;
+            Ok(())
+        }
+    }
+
+    match value {
+        PropValue::Text(s) => s == text,
+        other => {
+            let mut rest = Expect(text);
+            write!(rest, "{other}").is_ok() && rest.0.is_empty()
         }
     }
 }
@@ -229,6 +255,36 @@ mod tests {
     use schematic::geom::{Orient, Point};
     use schematic::sheet::{Instance, Sheet};
     use schematic::symbol::{SymbolDef, SymbolRef};
+
+    #[test]
+    fn prints_as_agrees_with_to_text() {
+        let values = [
+            PropValue::Int(0),
+            PropValue::Int(42),
+            PropValue::Int(-7),
+            PropValue::Real(1.0),
+            PropValue::Real(1.5),
+            PropValue::Real(-0.25),
+            PropValue::Flag(true),
+            PropValue::Flag(false),
+            PropValue::Text("1".into()),
+            PropValue::Text(String::new()),
+            PropValue::Text("1.5u".into()),
+        ];
+        let texts = [
+            "", "0", "42", "4", "420", "-7", "1", "1.0", "1.5", "1.50", "-0.25", "true", "false",
+            "True", "1.5u",
+        ];
+        for value in &values {
+            for text in texts {
+                assert_eq!(
+                    prints_as(value, text),
+                    value.to_text() == text,
+                    "{value:?} against {text:?}"
+                );
+            }
+        }
+    }
 
     fn design_one_inst(props: &[(&str, &str)]) -> Design {
         let mut d = Design::new("t", DialectId::Viewstar);

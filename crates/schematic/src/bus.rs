@@ -169,6 +169,20 @@ impl BusSyntax {
     /// identifiers containing reserved punctuation, or (Cascade only)
     /// postfix indicators.
     pub fn parse(self, text: &str, known_buses: &BTreeSet<IStr>) -> Result<NetName, ParseNetError> {
+        let (expr, postfix) = self.parse_ref(text, known_buses)?;
+        Ok(NetName {
+            expr: expr.into_owned(),
+            postfix,
+        })
+    }
+
+    /// [`Self::parse`] without copying: the expression borrows its base
+    /// from `text`, and only an error allocates.
+    pub(crate) fn parse_ref<'a>(
+        self,
+        text: &'a str,
+        known_buses: &BTreeSet<IStr>,
+    ) -> Result<(NetExprRef<'a>, Option<char>), ParseNetError> {
         let text = text.trim();
         if text.is_empty() {
             return Err(ParseNetError::Empty);
@@ -204,23 +218,23 @@ impl BusSyntax {
                     .trim()
                     .parse::<i64>()
                     .map_err(|_| ParseNetError::BadIndex(body.to_string()))?;
-                NetExpr::Range(base.to_string(), from, to)
+                NetExprRef::Range(base, from, to)
             } else {
                 let idx = stripped
                     .trim()
                     .parse::<i64>()
                     .map_err(|_| ParseNetError::BadIndex(body.to_string()))?;
-                NetExpr::Bit(base.to_string(), idx)
+                NetExprRef::Bit(base, idx)
             }
         } else {
             Self::check_ident(body)?;
             match self {
                 BusSyntax::Viewstar => Self::condense(body, known_buses),
-                BusSyntax::Cascade => NetExpr::Scalar(body.to_string()),
+                BusSyntax::Cascade => NetExprRef::Scalar(body),
             }
         };
 
-        Ok(NetName { expr, postfix })
+        Ok((expr, postfix))
     }
 
     /// Formats a net name under this grammar.
@@ -271,7 +285,7 @@ impl BusSyntax {
 
     /// Viewstar condensed resolution: `A0` ≡ `A<0>` when bus `A` is in
     /// scope. The digits must form a maximal numeric suffix.
-    fn condense(body: &str, known_buses: &BTreeSet<IStr>) -> NetExpr {
+    fn condense<'a>(body: &'a str, known_buses: &BTreeSet<IStr>) -> NetExprRef<'a> {
         let digits_at = body
             .char_indices()
             .rev()
@@ -283,12 +297,42 @@ impl BusSyntax {
                 let (base, digits) = body.split_at(i);
                 if known_buses.contains(base) {
                     if let Ok(idx) = digits.parse::<i64>() {
-                        return NetExpr::Bit(base.to_string(), idx);
+                        return NetExprRef::Bit(base, idx);
                     }
                 }
             }
         }
-        NetExpr::Scalar(body.to_string())
+        NetExprRef::Scalar(body)
+    }
+}
+
+/// A [`NetExpr`] whose base borrows from the text it was parsed from.
+#[derive(Debug, Clone, Copy)]
+pub(crate) enum NetExprRef<'a> {
+    Scalar(&'a str),
+    Bit(&'a str, i64),
+    Range(&'a str, i64, i64),
+}
+
+impl NetExprRef<'_> {
+    fn into_owned(self) -> NetExpr {
+        match self {
+            NetExprRef::Scalar(b) => NetExpr::Scalar(b.to_string()),
+            NetExprRef::Bit(b, i) => NetExpr::Bit(b.to_string(), i),
+            NetExprRef::Range(b, f, t) => NetExpr::Range(b.to_string(), f, t),
+        }
+    }
+}
+
+/// Writes the explicit form: what [`BusSyntax::Cascade`] formats for
+/// the same expression with no postfix. A scalar is its text as it is.
+impl fmt::Display for NetExprRef<'_> {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        match *self {
+            NetExprRef::Scalar(b) => f.write_str(b),
+            NetExprRef::Bit(b, i) => write!(f, "{b}<{i}>"),
+            NetExprRef::Range(b, from, to) => write!(f, "{b}<{from}:{to}>"),
+        }
     }
 }
 

@@ -5,9 +5,10 @@
 //! form both the source and translated schematics are reduced to; the
 //! comparison here is the independent verifier.
 
-use std::collections::{BTreeMap, BTreeSet, HashMap};
+use std::collections::{BTreeMap, BTreeSet};
 use std::fmt;
 
+use interop_core::hash::{FNV_OFFSET, FNV_PRIME};
 use interop_core::intern::IStr;
 
 /// A reference to one pin of one instance. Both parts are interned —
@@ -200,6 +201,17 @@ impl CompareReport {
     }
 }
 
+/// A digest of a pin set from the addresses of its interned names. Equal
+/// sets have equal digests: every handle to one text points at one
+/// allocation, and a `BTreeSet` lists equal sets in one order. The
+/// addresses are the intern table's, not chosen by the input.
+fn pins_digest(pins: &BTreeSet<PinRef>) -> u64 {
+    pins.iter().fold(FNV_OFFSET, |h, p| {
+        let h = (h ^ p.inst.as_str().as_ptr() as u64).wrapping_mul(FNV_PRIME);
+        (h ^ p.pin.as_str().as_ptr() as u64).wrapping_mul(FNV_PRIME)
+    })
+}
+
 /// Compares two netlists **structurally**: instance names must match and
 /// every net on each side must have a pin-set-identical partner on the
 /// other, but net *names* may differ freely (translation legitimately
@@ -257,16 +269,17 @@ pub fn compare(left: &Netlist, right: &Netlist) -> CompareReport {
             }
         }
 
-        // Structural matching: key each right net by its pin set; each
-        // left net takes the first unused right net (in name order) with
-        // an equal pin set.
+        // Structural matching: key each right net by its pin set's
+        // digest, sorted with ties in name order; each left net takes the
+        // first unused right net (in name order) with an equal pin set.
         let right_nets: Vec<(&String, &NetInfo)> = rc.nets.iter().collect();
-        let mut right_by_pins: HashMap<&BTreeSet<PinRef>, Vec<usize>> = HashMap::new();
-        for (k, (_, info)) in right_nets.iter().enumerate() {
-            if !info.pins.is_empty() {
-                right_by_pins.entry(&info.pins).or_default().push(k);
-            }
-        }
+        let mut right_by_digest: Vec<(u64, usize)> = right_nets
+            .iter()
+            .enumerate()
+            .filter(|(_, (_, info))| !info.pins.is_empty())
+            .map(|(k, (_, info))| (pins_digest(&info.pins), k))
+            .collect();
+        right_by_digest.sort_unstable();
         let mut used_right = vec![false; right_nets.len()];
         let mut mapping: Vec<(String, String)> = Vec::new();
 
@@ -274,9 +287,13 @@ pub fn compare(left: &Netlist, right: &Netlist) -> CompareReport {
             if linfo.pins.is_empty() {
                 continue;
             }
-            let candidate = right_by_pins
-                .get(&linfo.pins)
-                .and_then(|ks| ks.iter().copied().find(|&k| !used_right[k]));
+            let digest = pins_digest(&linfo.pins);
+            let first = right_by_digest.partition_point(|&(d, _)| d < digest);
+            let candidate = right_by_digest[first..]
+                .iter()
+                .take_while(|&&(d, _)| d == digest)
+                .map(|&(_, k)| k)
+                .find(|&k| !used_right[k] && right_nets[k].1.pins == linfo.pins);
             match candidate {
                 Some(k) => {
                     used_right[k] = true;
@@ -346,6 +363,33 @@ mod tests {
         let r = compare(&a, &b);
         assert!(r.is_equivalent(), "diffs: {:?}", r.diffs);
         assert_eq!(r.net_mapping["top"]["mid-"], "mid");
+    }
+
+    #[test]
+    fn equal_pin_sets_pair_up_in_name_order() {
+        let side = |nets: &[(&str, &[(&str, &str)])]| {
+            let mut nl = Netlist::new("d");
+            let mut cell = CellNetlist::default();
+            for (name, pins) in nets {
+                cell.nets.insert((*name).into(), net(pins));
+            }
+            nl.cells.insert("top".into(), cell);
+            nl
+        };
+        let p: &[(&str, &str)] = &[("I1", "Y"), ("I2", "A")];
+        let q: &[(&str, &str)] = &[("I2", "Y")];
+        let left = side(&[("a", p), ("b", p), ("c", q), ("d", p)]);
+        let right = side(&[("x", p), ("y", q), ("z", p)]);
+        let r = compare(&left, &right);
+        let mapping: Vec<(&str, &str)> = r.net_mapping["top"]
+            .iter()
+            .map(|(l, r)| (l.as_str(), r.as_str()))
+            .collect();
+        assert_eq!(mapping, [("a", "x"), ("b", "z"), ("c", "y")]);
+        assert!(matches!(
+            &r.diffs[..],
+            [NetlistDiff::NetUnmatched { side: "left", net, .. }] if net == "d"
+        ));
     }
 
     #[test]

@@ -21,12 +21,11 @@
 //! deliberate loss every real neutral format accepts.
 
 use std::borrow::Cow;
-use std::collections::BTreeSet;
 use std::fmt::{self, Write as _};
 
 use interop_core::intern::IStr;
 
-use crate::bus::{BusSyntax, NetName};
+use crate::bus::BusSyntax;
 use crate::design::{CellSchematic, Design, Library};
 use crate::dialect::{DialectId, DialectRules};
 use crate::geom::Point;
@@ -53,24 +52,11 @@ impl fmt::Display for ParseNeutralError {
 
 impl std::error::Error for ParseNeutralError {}
 
-/// Normalizes a net-name text from `syntax` into the neutral encoding:
-/// explicit form plus a separated postfix attribute.
-fn normalize_name(
-    text: &str,
-    buses: &BTreeSet<IStr>,
-    syntax: BusSyntax,
-) -> Result<(String, Option<char>), String> {
-    let parsed: NetName = syntax.parse(text, buses).map_err(|e| e.to_string())?;
-    let postfix = parsed.postfix;
-    let plain = NetName {
-        expr: parsed.expr,
-        postfix: None,
-    };
-    Ok((BusSyntax::Cascade.format(&plain), postfix))
-}
-
 /// Exports a design to neutral text. Net names are normalized through
-/// the design dialect's bus grammar.
+/// the design dialect's bus grammar: explicit form, with a postfix
+/// indicator as a separate attribute. The explicit form is written
+/// without quoting: a parsed name holds only identifier characters,
+/// `!`, `<`, `>`, `:`, `-` and digits, never a space or a `"`.
 ///
 /// # Errors
 ///
@@ -115,9 +101,11 @@ fn export_into(o: &mut String, design: &Design) -> Result<(), Box<dyn std::error
                     write!(o, " {} {}", p.x, p.y)?;
                 }
                 if let Some(l) = &wire.label {
-                    let (normalized, postfix) = normalize_name(&l.text, &cell.buses, rules.bus)
+                    let (net, postfix) = rules
+                        .bus
+                        .parse_ref(&l.text, &cell.buses)
                         .map_err(|e| format!("{name} p{}: `{}`: {e}", sheet.page, l.text))?;
-                    write!(o, " NET {} {} {}", Quoted(&normalized), l.at.x, l.at.y)?;
+                    write!(o, " NET {net} {} {}", l.at.x, l.at.y)?;
                     if let Some(c) = postfix {
                         write!(o, " POSTFIX {c}")?;
                     }
@@ -125,13 +113,14 @@ fn export_into(o: &mut String, design: &Design) -> Result<(), Box<dyn std::error
                 o.push('\n');
             }
             for c in &sheet.connectors {
-                let (normalized, _) = normalize_name(&c.name, &cell.buses, rules.bus)
+                let (net, _) = rules
+                    .bus
+                    .parse_ref(&c.name, &cell.buses)
                     .map_err(|e| format!("{name} p{}: `{}`: {e}", sheet.page, c.name))?;
                 writeln!(
                     o,
-                    "CONN {} {} {} {} {}",
+                    "CONN {} {net} {} {} {}",
                     c.kind.keyword(),
-                    Quoted(&normalized),
                     c.at.x,
                     c.at.y,
                     c.orient.code()

@@ -5,7 +5,8 @@
 //! building the design does, never once per token: tokens borrow from
 //! the input and names are interned (on these designs about 1.2
 //! allocations per heap object of the result, against a bound of 1.5,
-//! and one per 8 tokens, against a bound of one per 4). A writer formats every record
+//! and one per 8 tokens, against a bound of one per 4). A writer
+//! (Viewstar, Cascade, and the neutral export) formats every record
 //! straight into its one output `String`, so it may allocate only a
 //! constant number of times plus that buffer's growth.
 
@@ -14,7 +15,7 @@ use std::cell::Cell;
 
 use schematic::design::Design;
 use schematic::gen::{generate, GenConfig};
-use schematic::{cascade, viewstar};
+use schematic::{cascade, neutral, viewstar};
 
 struct Counting;
 
@@ -139,6 +140,12 @@ fn writers_allocate_a_constant_plus_buffer_growth() {
         assert!(
             count <= writer_budget(text.len()),
             "seed {seed}: cascade::write made {count} allocations for {} bytes",
+            text.len()
+        );
+        let (count, text) = allocations(|| neutral::export(&design).expect("exports"));
+        assert!(
+            count <= writer_budget(text.len()),
+            "seed {seed}: neutral::export made {count} allocations for {} bytes",
             text.len()
         );
     }
