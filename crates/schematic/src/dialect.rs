@@ -261,7 +261,7 @@ pub fn check_conformance(design: &Design, rules: &DialectRules) -> Vec<Violation
                     }
                 }
                 if let Some(label) = &wire.label {
-                    match rules.bus.parse(&label.text, &cell.buses) {
+                    match rules.bus.parse_ref(&label.text, &cell.buses) {
                         Ok(_) => {
                             names_on_page
                                 .entry(label.text.clone())

@@ -24,7 +24,11 @@
 //! ([`logic::reference`]) for differential testing. Elaboration
 //! compiles every expression once per circuit into word-level
 //! instructions over registers ([`eval`]), which each kernel runs
-//! against its own preallocated register file. Kernels are `Send`
+//! against its own preallocated register file. A waveform records each
+//! change as a fixed-size entry over one word arena ([`kernel::Waveform`])
+//! that readers borrow through [`logic::ValueRef`]s; race reports keep
+//! each diverging signal's history as flat columns
+//! ([`kernel::History`]). Kernels are `Send`
 //! (the circuit sits behind an `Arc`), so the policy × stimulus
 //! divergence grid can be swept across threads with
 //! [`race::sweep_parallel`], which fans out through
@@ -59,6 +63,6 @@ pub mod timing;
 pub mod vcd;
 
 pub use elab::{compile, compile_unit, Circuit};
-pub use kernel::{IndexedWaveform, Kernel, SchedulerPolicy, SimError, Waveform};
-pub use logic::{Logic, Std9, Value};
+pub use kernel::{History, IndexedWaveform, Kernel, SchedulerPolicy, SimError, Waveform};
+pub use logic::{Logic, Std9, Value, ValueRef};
 pub use race::{sweep, sweep_parallel, RaceReport, Stim, SweepResult};

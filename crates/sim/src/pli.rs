@@ -12,7 +12,7 @@
 use std::sync::{Arc, Mutex};
 
 use crate::elab::SigId;
-use crate::kernel::{Kernel, SimError};
+use crate::kernel::{History, Kernel, SimError};
 use crate::logic::Value;
 
 /// A user callback: `(time, new value)`.
@@ -44,12 +44,16 @@ impl Monitor {
         self.log.lock().expect("monitor log").clone()
     }
 
-    /// The recorded history with consecutive duplicates collapsed.
-    pub fn history(&self) -> Vec<(u64, Value)> {
-        let mut out: Vec<(u64, Value)> = Vec::new();
-        for (t, v) in self.log.lock().expect("monitor log").iter() {
-            if out.last().map(|(_, lv)| lv) != Some(v) {
-                out.push((*t, v.clone()));
+    /// The recorded history with consecutive duplicates collapsed, in
+    /// the form [`crate::kernel::Waveform::history`] returns.
+    pub fn history(&self) -> History {
+        let log = self.log.lock().expect("monitor log");
+        let mut out = History::default();
+        let mut last = None;
+        for (t, v) in log.iter() {
+            if last != Some(v) {
+                out.push(*t, v.into());
+                last = Some(v);
             }
         }
         out

@@ -13,11 +13,10 @@
 //! workspace's one work-stealing executor, [`interop_core::par`]. Both
 //! produce identical, deterministically ordered results.
 //!
-//! The sweeps consume their kernels: the histories of diverging signals
-//! are moved out of the finished waveforms, and the histories of every
-//! other signal are compared by reference and never copied. [`compare`]
-//! shares the same history walk over borrowed kernels and clones only
-//! the diverging histories.
+//! The sweeps and [`compare`] share one history walk. It compares the
+//! histories of every signal in place, in the waveforms' change logs,
+//! and copies only a diverging signal's histories into the report, each
+//! as one flat [`History`] with its capacity reserved exactly.
 
 use std::borrow::Borrow;
 use std::sync::Arc;
@@ -25,7 +24,7 @@ use std::sync::Arc;
 use interop_core::par::par_map;
 
 use crate::elab::{Circuit, SigId};
-use crate::kernel::{ChangeIndex, Kernel, SchedulerPolicy, SimError, Waveform};
+use crate::kernel::{ChangeIndex, History, Kernel, SchedulerPolicy, SimError, Waveform};
 use crate::logic::{Logic, Value};
 
 /// One diverging signal.
@@ -33,8 +32,8 @@ use crate::logic::{Logic, Value};
 pub struct Divergence {
     /// Signal name.
     pub signal: String,
-    /// Per-policy collapsed histories `(policy, [(time, value)])`.
-    pub histories: Vec<(&'static str, Vec<(u64, Value)>)>,
+    /// Per-policy collapsed histories.
+    pub histories: Vec<(&'static str, History)>,
 }
 
 /// Result of a cross-policy comparison.
@@ -87,37 +86,26 @@ pub fn compare(kernels: &[Kernel]) -> RaceReport {
             diverging: Vec::new(),
         };
     };
-    let mut waves: Vec<&Waveform> = kernels.iter().map(Kernel::waveform).collect();
-    walk(first.circuit(), policies, &mut waves, |w, i| {
-        let (t, _, v) = &w.changes[i];
-        (*t, v.clone())
-    })
-}
-
-/// [`compare`] over finished kernels' waveforms, consuming them: the
-/// diverging histories are moved out of the logs, not cloned.
-fn compare_owned(
-    circuit: &Circuit,
-    policies: Vec<&'static str>,
-    mut waves: Vec<Waveform>,
-) -> RaceReport {
-    walk(circuit, policies, &mut waves, |w, i| {
-        let (t, _, v) = &mut w.changes[i];
-        (*t, std::mem::replace(v, Value::bit(Logic::X)))
-    })
+    let waves: Vec<&Waveform> = kernels.iter().map(Kernel::waveform).collect();
+    walk(first.circuit(), policies, &waves)
 }
 
 /// The history walk shared by [`compare`] and the sweeps. Each
 /// waveform is indexed once; then, signal by signal, every waveform's
-/// collapsed history is compared by reference with the first one's, and
-/// only a diverging signal's entries are fetched, through `take(wave,
-/// position)`, while they are still in cache.
+/// collapsed history is compared in place with the first one's, and
+/// only a diverging signal's entries are copied, while they are still in
+/// cache.
 fn walk<W: Borrow<Waveform>>(
     circuit: &Circuit,
     policies: Vec<&'static str>,
-    waves: &mut [W],
-    mut take: impl FnMut(&mut W, usize) -> (u64, Value),
+    waves: &[W],
 ) -> RaceReport {
+    let Some(first) = waves.first().map(Borrow::borrow) else {
+        return RaceReport {
+            policies,
+            diverging: Vec::new(),
+        };
+    };
     let signal_count = circuit.signal_count();
     let indexes: Vec<ChangeIndex> = waves
         .iter()
@@ -128,32 +116,25 @@ fn walk<W: Borrow<Waveform>>(
     let mut lists: Vec<Vec<u32>> = vec![Vec::new(); waves.len()];
     let mut diverging = Vec::new();
     for sig in 0..signal_count {
-        for ((list, index), w) in lists.iter_mut().zip(&indexes).zip(waves.iter()) {
+        for ((list, index), w) in lists.iter_mut().zip(&indexes).zip(waves) {
             list.clear();
-            list.extend(index.history(w.borrow(), sig).map(|(i, _, _)| i));
+            list.extend(index.history(w.borrow(), sig));
         }
-        let entry = |k: usize, i: u32| {
-            let (t, _, v) = &waves[k].borrow().changes[i as usize];
-            (t, v)
-        };
-        let same = lists.iter().enumerate().skip(1).all(|(k, list)| {
+        let same = lists.iter().zip(waves).skip(1).all(|(list, w)| {
             list.len() == lists[0].len()
                 && list
                     .iter()
                     .zip(&lists[0])
-                    .all(|(&i, &j)| entry(k, i) == entry(0, j))
+                    .all(|(&i, &j)| w.borrow().same_change(i, first, j))
         });
         if same {
             continue;
         }
         let histories = policies
             .iter()
-            .zip(waves.iter_mut())
+            .zip(waves)
             .zip(&lists)
-            .map(|((policy, w), list)| {
-                let history = list.iter().map(|&i| take(w, i as usize)).collect();
-                (*policy, history)
-            })
+            .map(|((policy, w), list)| (*policy, History::gather(w.borrow(), list)))
             .collect();
         diverging.push(Divergence {
             signal: circuit.signals[sig].name.clone(),
@@ -487,7 +468,7 @@ fn sweep_one(
     let names = policies.iter().map(|p| p.name).collect();
     Ok(SweepResult {
         stim: stim.name.clone(),
-        report: compare_owned(circuit, names, waves),
+        report: walk(circuit, names, &waves),
     })
 }
 
@@ -576,8 +557,8 @@ mod tests {
             Stim::clocked("c4", 4).apply(&mut via_stim).unwrap();
             // Identical waveforms up to the stim's final settle time.
             assert_eq!(
-                via_closure.waveform().changes,
-                via_stim.waveform().changes,
+                via_closure.waveform(),
+                via_stim.waveform(),
                 "{}",
                 policy.name
             );
@@ -598,6 +579,14 @@ mod tests {
             let parallel = sweep_parallel(&shared, &policies, &stims, threads).unwrap();
             assert_eq!(parallel, sequential, "threads={threads}");
         }
+    }
+
+    #[test]
+    fn a_sweep_without_policies_reports_no_race() {
+        let shared = Arc::new(circuit(models::ORDER_RACE, "order"));
+        let results = sweep(&shared, &[], &[Stim::clocked("c2", 2)]).unwrap();
+        assert!(!results[0].report.has_race());
+        assert!(compare(&[]).policies.is_empty());
     }
 
     #[test]

@@ -13,7 +13,7 @@
 //! kind of drift the flag exists to paper over.
 
 use crate::elab::SigId;
-use crate::kernel::Waveform;
+use crate::kernel::{History, Waveform};
 use crate::logic::Logic;
 
 /// Which timing-check semantics to apply.
@@ -64,13 +64,13 @@ pub fn posedges(wave: &Waveform, clk: SigId) -> Vec<u64> {
     rising_edges(&wave.history(clk))
 }
 
-fn rising_edges(history: &[(u64, crate::logic::Value)]) -> Vec<u64> {
+fn rising_edges(history: &History) -> Vec<u64> {
     let mut out = Vec::new();
     let mut prev = Logic::X;
-    for (t, v) in history {
+    for (t, v) in history.iter() {
         let bit = v.get(0);
         if bit == Logic::One && prev != Logic::One {
-            out.push(*t);
+            out.push(t);
         }
         prev = bit;
     }
@@ -83,7 +83,7 @@ fn rising_edges(history: &[(u64, crate::logic::Value)]) -> Vec<u64> {
 pub fn check(wave: &Waveform, spec: &SetupHoldCheck, mode: CompatMode) -> Vec<TimingViolation> {
     let idx = wave.indexed(spec.clk.max(spec.data) + 1);
     let edges = rising_edges(&idx.history(spec.clk));
-    let data_changes: Vec<u64> = idx.history(spec.data).iter().map(|(t, _)| *t).collect();
+    let data_changes: Vec<u64> = idx.history(spec.data).iter().map(|(t, _)| t).collect();
     let mut out = Vec::new();
     for &edge in &edges {
         for &d in &data_changes {
@@ -126,18 +126,16 @@ mod tests {
     /// Builds a waveform with a clock edge at `edge` and data changes
     /// at the given times. Signal 0 is clk, 1 is data.
     fn wave(edge: u64, data_at: &[u64]) -> Waveform {
-        let mut w = Waveform::default();
-        w.changes.push((0, 0, Value::bit(Logic::Zero)));
-        w.changes.push((0, 1, Value::bit(Logic::Zero)));
+        let mut changes = vec![(0, 0, Logic::Zero), (0, 1, Logic::Zero)];
         for (i, &t) in data_at.iter().enumerate() {
-            w.changes.push((
-                t,
-                1,
-                Value::bit(if i % 2 == 0 { Logic::One } else { Logic::Zero }),
-            ));
+            changes.push((t, 1, if i % 2 == 0 { Logic::One } else { Logic::Zero }));
         }
-        w.changes.push((edge, 0, Value::bit(Logic::One)));
-        w.changes.sort_by_key(|(t, _, _)| *t);
+        changes.push((edge, 0, Logic::One));
+        changes.sort_by_key(|(t, _, _)| *t);
+        let mut w = Waveform::default();
+        for (t, sig, level) in changes {
+            w.push(t, sig, &Value::bit(level));
+        }
         w
     }
 
@@ -186,11 +184,11 @@ mod tests {
     #[test]
     fn posedge_extraction_ignores_x_and_falls() {
         let mut w = Waveform::default();
-        w.changes.push((1, 0, Value::bit(Logic::One))); // x -> 1: edge
-        w.changes.push((2, 0, Value::bit(Logic::Zero)));
-        w.changes.push((3, 0, Value::bit(Logic::One))); // 0 -> 1: edge
-        w.changes.push((4, 0, Value::bit(Logic::X)));
-        w.changes.push((5, 0, Value::bit(Logic::Zero)));
+        w.push(1, 0, &Value::bit(Logic::One)); // x -> 1: edge
+        w.push(2, 0, &Value::bit(Logic::Zero));
+        w.push(3, 0, &Value::bit(Logic::One)); // 0 -> 1: edge
+        w.push(4, 0, &Value::bit(Logic::X));
+        w.push(5, 0, &Value::bit(Logic::Zero));
         assert_eq!(posedges(&w, 0), vec![1, 3]);
     }
 }

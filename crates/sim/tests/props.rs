@@ -738,3 +738,122 @@ mod compare_matches_sweep {
         }
     }
 }
+
+/// The waveform's word arena and the flat per-signal histories read
+/// back exactly what was recorded, at every width class the planes have
+/// (one word, a full word, a word and a bit, two words, five words).
+mod arena {
+    use proptest::prelude::*;
+    use sim::{History, Logic, Value, Waveform};
+
+    const WIDTHS: [usize; 6] = [1, 63, 64, 65, 128, 280];
+
+    /// A value of `width` bits drawn from `seed`, with x and z bits.
+    fn value(width: usize, seed: u64) -> Value {
+        let bits: Vec<Logic> = (0..width as u64)
+            .map(|i| {
+                let mut z = seed ^ i.wrapping_mul(0x9e37_79b9_7f4a_7c15);
+                z = (z ^ (z >> 31)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
+                Logic::ALL[(z >> 60) as usize % 4]
+            })
+            .collect();
+        Value::from_bits(&bits)
+    }
+
+    /// `(time, value)` pairs with consecutive equal values collapsed,
+    /// the first time kept: the reference for [`History`].
+    fn collapse(entries: &[(u64, Value)]) -> Vec<(u64, Value)> {
+        let mut out: Vec<(u64, Value)> = Vec::new();
+        for (t, v) in entries {
+            if out.last().map(|(_, last)| last) != Some(v) {
+                out.push((*t, v.clone()));
+            }
+        }
+        out
+    }
+
+    /// Signal 0's history of a log holding `entries`.
+    fn history(entries: &[(u64, Value)]) -> History {
+        let mut w = Waveform::default();
+        for (t, v) in entries {
+            w.push(*t, 0, v);
+        }
+        w.history(0)
+    }
+
+    fn entries(width: usize, picks: &[(u64, u64)]) -> Vec<(u64, Value)> {
+        picks.iter().map(|&(t, s)| (t, value(width, s))).collect()
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(64))]
+
+        #[test]
+        fn push_and_changes_round_trip(
+            picks in prop::collection::vec((0usize..6, any::<u64>(), 0usize..4), 0..48)
+        ) {
+            let want: Vec<(u64, usize, Value)> = picks
+                .iter()
+                .enumerate()
+                .map(|(t, &(w, seed, sig))| (t as u64 / 3, sig, value(WIDTHS[w], seed)))
+                .collect();
+            let mut wave = Waveform::default();
+            for (t, sig, v) in &want {
+                wave.push(*t, *sig, v);
+            }
+            prop_assert_eq!(wave.len(), want.len());
+            prop_assert_eq!(wave.changes().len(), want.len());
+            for ((t, sig, got), (wt, wsig, wv)) in wave.changes().zip(&want) {
+                prop_assert_eq!((t, sig), (*wt, *wsig));
+                prop_assert_eq!(got.width(), wv.width());
+                prop_assert!(got == *wv);
+                prop_assert_eq!(&got.to_value(), wv);
+                prop_assert_eq!(got.to_string_msb(), wv.to_string_msb());
+                prop_assert!((0..wv.width()).all(|i| got.get(i) == wv.get(i)));
+            }
+        }
+
+        #[test]
+        fn history_equality_is_elementwise_value_equality(
+            wa in 0usize..6,
+            wb in 0usize..6,
+            a in prop::collection::vec((0u64..3, 0u64..3), 0..6),
+            b in prop::collection::vec((0u64..3, 0u64..3), 0..6),
+        ) {
+            for (wb, b) in [(wb, &b), (wa, &b), (wa, &a)] {
+                let (ea, eb) = (entries(WIDTHS[wa], &a), entries(WIDTHS[wb], b));
+                let (ha, hb) = (history(&ea), history(&eb));
+                prop_assert_eq!(ha == hb, collapse(&ea) == collapse(&eb));
+            }
+        }
+
+        #[test]
+        fn consecutive_duplicates_collapse(
+            w in 0usize..6,
+            picks in prop::collection::vec((0u64..4, 0u64..3), 0..24),
+            other in prop::collection::vec((0u64..4, 0u64..3), 0..24),
+        ) {
+            // Two signals interleaved in one log: each collapses alone.
+            let (mine, theirs) = (entries(WIDTHS[w], &picks), entries(WIDTHS[5 - w], &other));
+            let mut wave = Waveform::default();
+            let (mut i, mut j) = (0, 0);
+            while i < mine.len() || j < theirs.len() {
+                if i < mine.len() && (j >= theirs.len() || (i + j) % 3 != 0) {
+                    wave.push(mine[i].0, 0, &mine[i].1);
+                    i += 1;
+                } else {
+                    wave.push(theirs[j].0, 1, &theirs[j].1);
+                    j += 1;
+                }
+            }
+            let indexed = wave.indexed(2);
+            for (sig, want) in [(0, collapse(&mine)), (1, collapse(&theirs))] {
+                let got: Vec<(u64, Value)> =
+                    wave.history(sig).iter().map(|(t, v)| (t, v.to_value())).collect();
+                prop_assert_eq!(&got, &want);
+                prop_assert_eq!(indexed.history(sig), wave.history(sig));
+                prop_assert_eq!(wave.history(sig).len(), want.len());
+            }
+        }
+    }
+}
