@@ -18,15 +18,16 @@ use sim::{Kernel, Logic, Value};
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
     println!("--- cross-policy race detection ---");
-    for (name, src, top) in [
-        ("paper example ", models::PAPER_RACE, "race"),
-        ("order race    ", models::ORDER_RACE, "order"),
-        ("race-free     ", models::RACE_FREE, "clean"),
+    for (name, src, top, racy) in [
+        ("paper example ", models::PAPER_RACE, "race", true),
+        ("order race    ", models::ORDER_RACE, "order", true),
+        ("race-free     ", models::RACE_FREE, "clean", false),
     ] {
         let circuit = compile_unit(&hdl::parse(src)?, top)?;
         let report = detect(&circuit, &SchedulerPolicy::all(), |k| {
             clocked_testbench(k, 4)
         })?;
+        assert_eq!(report.has_race(), racy, "{name}");
         println!(
             "{name}: {}",
             if report.has_race() {
@@ -72,6 +73,11 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     };
     let old = check(k.waveform(), &spec, CompatMode::Pre16a);
     let new = check(k.waveform(), &spec, CompatMode::Post16a);
+    assert_eq!(
+        (old.len(), new.len()),
+        (0, 1),
+        "only the new semantics flag the boundary"
+    );
     println!("pre-1.6a semantics : {} violation(s)", old.len());
     println!("current semantics  : {} violation(s)", new.len());
     println!("=> results drift across simulator versions; +pre_16a_path restores the old count");

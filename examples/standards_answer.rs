@@ -65,6 +65,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     let a = dump(policies[0])?;
     let d = dump(policies[3])?;
     let diverging = vcd::diff(&a, &d);
+    assert_eq!(diverging, ["y"], "the order race shows on `y` alone");
     println!("\n--- VCD cross-simulator diff ---");
     println!(
         "SimA vs SimD on the order-race model: {} diverging signal(s): {:?}",
